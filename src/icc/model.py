@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 BN_EPS = 1e-3
 BN_MOMENTUM = 0.1
@@ -139,19 +139,24 @@ class GraphDescription:
 
     @classmethod
     def from_text(cls, text: str) -> "GraphDescription":
+        """Parse ``to_text`` output; malformed text raises DataError."""
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != "ICCGRAPH 1":
-            raise ValueError("not a graph description (missing 'ICCGRAPH 1' header)")
+            raise DataError("not a graph description (missing 'ICCGRAPH 1' header)")
         ablation: str | None = None
         taps: dict[str, str] = {}
         layers: list[Layer] = []
         for ln in lines[1:]:
             fields = ln.split()
+            if fields[0] not in _GRAPH_LINE_FIELDS:
+                raise DataError(f"unrecognized graph line: {ln!r}")
+            if len(fields) < _GRAPH_LINE_FIELDS[fields[0]]:
+                raise DataError(f"truncated graph line: {ln!r}")
             if fields[0] == "ablation":
                 ablation = None if fields[1] == "none" else fields[1]
             elif fields[0] == "tap":
                 taps[fields[1]] = fields[2]
-            elif fields[0] == "layer":
+            else:
                 name = fields[1]
                 kind = ""
                 inputs: tuple[str, ...] = ()
@@ -170,9 +175,11 @@ class GraphDescription:
                     else:
                         attrs[key] = _parse_attr(val)
                 layers.append(Layer(name, kind, inputs, attrs, tap, block))
-            else:
-                raise ValueError(f"unrecognized graph line: {ln!r}")
         return cls(layers=layers, taps=taps, ablation=ablation)
+
+
+# fewest whitespace-separated fields of each graph line kind, keyword included
+_GRAPH_LINE_FIELDS = {"ablation": 2, "tap": 3, "layer": 2}
 
 
 def _format_attr(v) -> str:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import numeric_gradient, rel_error
@@ -41,6 +43,16 @@ def random_problem(rng, n, spread=False):
     d = ((pts_p[:, None, :] - pts_q[None, :, :]) ** 2).sum(-1)
     del pts
     return p, q, d
+
+
+@st.composite
+def grid_problems(draw):
+    """(h, w, p masses, q masses, eps / mean cost, iteration cap), zero cells included."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cell = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    masses = st.lists(cell, min_size=h * w, max_size=h * w).filter(lambda m: sum(m) > 0)
+    return (h, w, draw(masses), draw(masses), draw(st.floats(0.01, 1.0)),
+            draw(st.integers(1, 300)))
 
 
 class TestSinkhorn:
@@ -86,11 +98,12 @@ class TestSinkhorn:
             assert plan.cost >= lp - 1e-7
             assert lp <= plan.cost + eps * n * np.log(max(n, 2))
 
-    def test_zero_mass_entries_leave_zero_rows(self):
+    @pytest.mark.parametrize("grid", [None, (1, 3)], ids=["dense", "grid"])
+    def test_zero_mass_entries_leave_zero_rows(self, grid):
         p = np.array([0.5, 0.0, 0.5])
         q = np.array([0.25, 0.5, 0.25])
         c = grid_cost_matrix(1, 3)
-        plan = sinkhorn(TransportProblem(p, q, c, epsilon=0.1, max_iters=5000))
+        plan = sinkhorn(TransportProblem(p, q, c, epsilon=0.1, max_iters=5000, grid=grid))
         assert np.all(plan.plan[1] == 0.0)
 
     def test_rejects_bad_epsilon_and_mass(self):
@@ -99,13 +112,60 @@ class TestSinkhorn:
             sinkhorn(TransportProblem(np.array([0.5, 0.5]), np.array([0.5, 0.5]), c, epsilon=0.0))
         with pytest.raises(ZeroMassError):
             sinkhorn(TransportProblem(np.array([0.0, 0.0]), np.array([0.5, 0.5]), c, epsilon=0.1))
+        with pytest.raises(ValueError, match="max_iters"):
+            sinkhorn(TransportProblem(np.array([0.5, 0.5]), np.array([0.5, 0.5]), c, epsilon=0.1,
+                                      max_iters=0))
 
-    def test_unconverged_is_flagged_not_raised(self):
+    @pytest.mark.parametrize("grid", [None, (3, 4)], ids=["dense", "grid"])
+    def test_unconverged_is_flagged_not_raised(self, grid):
         rng = np.random.default_rng(3)
         p, q, c = random_problem(rng, 12)
+        if grid is not None:
+            c = grid_cost_matrix(*grid)
         plan = sinkhorn(TransportProblem(p, q, c, epsilon=1e-4 * c.mean(), max_iters=3,
-                                         tolerance=1e-12))
+                                         tolerance=1e-12, grid=grid))
         assert not plan.converged
+        assert plan.iterations == 3
+
+    @pytest.mark.parametrize("grid, cost", [
+        ((2, 3), grid_cost_matrix(3, 2)),
+        ((1, 6), grid_cost_matrix(2, 3)),
+        ((2, 2), grid_cost_matrix(2, 3)),
+        ((2, 3), np.sqrt(grid_cost_matrix(2, 3))),
+    ], ids=["transposed", "other-shape", "cell-count", "not-squared"])
+    def test_grid_shape_must_match_cost(self, grid, cost):
+        p = np.full(6, 1 / 6)
+        with pytest.raises(ShapeError, match="grid cost"):
+            sinkhorn(TransportProblem(p, p.copy(), cost, epsilon=0.1, grid=grid))
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=grid_problems())
+    @example(problem=(1, 7, [0.0, 0.5, 0.0, 0.0, 1.0, 0.2, 0.0], [0.3, 0.0, 0.0, 0.9, 0.0, 0.0, 0.1],
+                      0.01, 300))
+    @example(problem=(6, 1, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], 1.0, 1))
+    def test_grid_operator_matches_dense(self, problem):
+        # Same iterates under the same cap: the separable kernel only
+        # reorders the log-sum-exp arithmetic. Tolerance 1e-12 relative:
+        # the cost and the potentials (their largest finite magnitude)
+        # against the larger of their size and eps, which floors potentials
+        # that are all zero; the marginal error, an L1 distance between
+        # probability vectors, against the unit total mass.
+        h, w, p, q, eps_ratio, cap = problem
+        p, q = np.array(p) / sum(p), np.array(q) / sum(q)
+        c = grid_cost_matrix(h, w)
+        eps = eps_ratio * (c.mean() if h * w > 1 else 1.0)
+        dense = sinkhorn(TransportProblem(p, q, c, eps, cap))
+        grid = sinkhorn(TransportProblem(p, q, c, eps, cap, grid=(h, w)))
+        assert grid.iterations == dense.iterations
+        assert grid.converged == dense.converged
+        assert abs(grid.marginal_error - dense.marginal_error) <= 1e-12
+        assert abs(grid.cost - dense.cost) <= 1e-12 * max(dense.cost, eps)
+        for a, b in ((grid.potential_p, dense.potential_p), (grid.potential_q, dense.potential_q)):
+            finite = np.isfinite(b)
+            assert np.array_equal(np.isfinite(a), finite)
+            assert np.all(a[~finite] == -np.inf)
+            scale = max(np.abs(b[finite]).max(), eps)
+            assert np.abs(a[finite] - b[finite]).max() <= 1e-12 * scale
 
 
 class TestCountingLoss:

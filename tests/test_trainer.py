@@ -1,13 +1,19 @@
 """Trainer, evaluation, inference and CLI behaviour on tiny synthetic data."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import icc
 from icc import data as D
 from icc import model as M
 from icc import train as TR
 from icc.cli import main as cli_main
-from icc.checkpoint import load_checkpoint
+from icc.checkpoint import load_checkpoint, save_checkpoint
 from icc.errors import ConfigError, DataError
 
 
@@ -248,6 +254,31 @@ class TestCLI:
         rc = cli_main(["infer", "--checkpoint", str(out / "model.iccw"),
                        "--image", str(bad), "--output", str(tmp_path / "o.iccd")])
         assert rc == 3
+
+    @pytest.mark.parametrize("text, reason", [
+        ("layer x kind=relu\n", "ICCGRAPH"),
+        ("ICCGRAPH 1\nablation\n", "truncated"),
+        ("ICCGRAPH 1\nablation none\ntap out\n", "truncated"),
+        ("ICCGRAPH 1\nablation none\nlayer\n", "truncated"),
+        ("ICCGRAPH 1\nablation none\nnode x kind=relu\n", "unrecognized"),
+    ], ids=["no-header", "ablation", "tap", "layer", "unknown-line"])
+    def test_malformed_graph_exit_code(self, tmp_path, text, reason):
+        # a separate process, so that an uncaught exception shows as exit 1
+        # and a traceback on stderr
+        ckpt = tmp_path / "model.iccw"
+        save_checkpoint(ckpt, {"w": np.zeros(1, np.float32)})
+        graph = tmp_path / "bad.graph"
+        graph.write_text(text, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(icc.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "icc.cli", "infer", "--checkpoint", str(ckpt),
+             "--graph", str(graph), "--image", str(tmp_path / "unused.ppm"),
+             "--output", str(tmp_path / "o.iccd")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert reason in proc.stderr
 
     def test_cli_train_eval_round_trip(self, tiny_dirs, tmp_path, capsys):
         out = tmp_path / "cli_run"
