@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -37,7 +38,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raw = Path(path).read_bytes()
     except OSError as e:
         raise DataError(f"cannot read checkpoint {path}: {e}") from e
-    if raw[:4] != MAGIC:
+    if len(raw) < 8 or raw[:4] != MAGIC:
         raise DataError(f"{path}: not an ICCW checkpoint")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != VERSION:
@@ -57,12 +58,14 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             dtype = _TAG_DTYPES.get(tag)
             if dtype is None:
                 raise DataError(f"{path}: unknown dtype tag {tag} for {name!r}")
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+            nbytes = math.prod(shape) * dtype.itemsize
             body = raw[pos : pos + nbytes]
             if len(body) != nbytes:
                 raise DataError(f"{path}: truncated data for {name!r}")
             pos += nbytes
         except struct.error:
             raise DataError(f"{path}: truncated checkpoint record") from None
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: parameter name at byte {pos} is not UTF-8") from None
         params[name] = np.frombuffer(body, dtype=dtype).reshape(shape).copy()
     return params

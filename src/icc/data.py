@@ -246,6 +246,8 @@ def read_ppm(path) -> np.ndarray:
         raise DataError(f"{path}: malformed PPM header") from None
     if maxval != 255:
         raise DataError(f"{path}: unsupported PPM maxval {maxval}")
+    if w < 0 or h < 0:
+        raise DataError(f"{path}: negative PPM extents {w}x{h}")
     data = raw[pos : pos + 3 * h * w]
     if len(data) != 3 * h * w:
         raise DataError(f"{path}: truncated PPM pixel data")
@@ -266,7 +268,7 @@ def write_points(path, points) -> None:
 def read_points(path) -> list[tuple[float, float]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read annotations {path}: {e}") from e
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != POINTS_HEADER:

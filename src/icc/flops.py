@@ -12,15 +12,14 @@ Secondary per-element rules (documented in the report's convention tag):
 batch norm costs 2 ops/element in inference form (1 mul + 1 add), pooling
 costs window-1 compares-or-adds per output, bilinear resampling 7 ops per
 output element (4 mul + 3 add), activations 1 op/element, channel summation
-C-1 adds/element. These contribute a few percent at most.
+C-1 adds/element; a few percent at most. The rules live in ``icc.model.KINDS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ShapeError
-from .model import PAD_MULTIPLE, GraphDescription
+from .model import KINDS, GraphDescription, count_conv, infer_shapes, padded_shape
 
 CONVENTION = (
     "length-k inner product = k mul + (k-1) add (+1 add with bias); "
@@ -111,17 +110,6 @@ def gformat(ops: int) -> str:
     return f"{ops / 1e9:.2f} G"
 
 
-def count_conv(
-    cin: int, cout: int, kh: int, kw: int, hout: int, wout: int, bias: bool = False
-) -> tuple[int, int]:
-    """(multiplies, adds) for one convolution with the given output extent."""
-    if min(cin, cout, kh, kw, hout, wout) < 1:
-        raise ValueError("count_conv: all extents must be positive")
-    outputs = hout * wout * cout
-    k = kh * kw * cin
-    return outputs * k, outputs * (k - 1 + (1 if bias else 0))
-
-
 def factorization_savings(n: int, cin: int, cout: int, h: int, w: int) -> float:
     """Fraction of operations saved by the bottleneck factorization.
 
@@ -140,114 +128,23 @@ def factorization_savings(n: int, cin: int, cout: int, h: int, w: int) -> float:
     return 1.0 - (collapsed + expanded) / standard
 
 
-def _pool_out(extent: int, window: int, stride: int, pad: int, layer: str, dim: str) -> int:
-    padded = extent + 2 * pad
-    if window > padded or window < 1:
-        raise ShapeError(f"{layer}: window {window} invalid for padded extent {padded} ({dim})")
-    return (padded - window) // stride + 1
-
-
 def count_graph(
     graph: GraphDescription,
     input_shape: tuple[int, int, int],
     pad_rule: bool = True,
 ) -> FlopReport:
-    """Walk the graph, resolving shapes and per-layer costs exactly.
+    """Resolve every layer's shape, then price it with its kind's cost rule.
 
     ``input_shape`` is (C, H, W). With ``pad_rule`` the spatial extents are
     first rounded up to the execution pad multiple, matching what the runtime
     actually computes on.
     """
-    cin0, h0, w0 = (int(v) for v in input_shape)
-    if pad_rule:
-        hp = h0 + (-h0) % PAD_MULTIPLE
-        wp = w0 + (-w0) % PAD_MULTIPLE
-    else:
-        hp, wp = h0, w0
-    shapes: dict[str, tuple[int, int, int]] = {}
+    shape = tuple(int(v) for v in input_shape)
+    padded = padded_shape(shape) if pad_rule else shape
+    shapes = infer_shapes(graph, padded)
     counts: list[LayerCount] = []
-
     for l in graph.layers:
-        a = l.attrs
-        try:
-            ins = [shapes[s] for s in l.inputs]
-        except KeyError as e:
-            raise ShapeError(f"{l.name}: input {e.args[0]!r} has no resolved shape") from None
-        mult = add = 0
-        if l.kind == "input":
-            out = (a["channels"], hp, wp)
-        elif l.kind == "conv":
-            c, h, w = ins[0]
-            if c != a["cin"]:
-                raise ShapeError(f"{l.name}: expects {a['cin']} channels, got {c}")
-            ho = _pool_out(h, a["kh"], a["stride_h"], a["pad_h"], l.name, "height")
-            wo = _pool_out(w, a["kw"], a["stride_w"], a["pad_w"], l.name, "width")
-            out = (a["cout"], ho, wo)
-            mult, add = count_conv(a["cin"], a["cout"], a["kh"], a["kw"], ho, wo, a.get("bias", False))
-        elif l.kind in ("maxpool", "avgpool"):
-            c, h, w = ins[0]
-            ho = _pool_out(h, a["window_h"], a["stride_h"], a["pad_h"], l.name, "height")
-            wo = _pool_out(w, a["window_w"], a["stride_w"], a["pad_w"], l.name, "width")
-            out = (c, ho, wo)
-            add = c * ho * wo * (a["window_h"] * a["window_w"] - 1)
-        elif l.kind == "adaptive_avgpool":
-            c, h, w = ins[0]
-            oh, ow = a["out_h"], a["out_w"]
-            if oh > h or ow > w:
-                raise ShapeError(f"{l.name}: target {(oh, ow)} exceeds input extent {(h, w)}")
-            out = (c, oh, ow)
-            for i in range(oh):
-                rh = -(-(i + 1) * h // oh) - (i * h // oh)
-                for j in range(ow):
-                    rw = -(-(j + 1) * w // ow) - (j * w // ow)
-                    add += c * (rh * rw - 1)
-        elif l.kind == "batchnorm":
-            c, h, w = ins[0]
-            out = ins[0]
-            mult = c * h * w
-            add = c * h * w
-        elif l.kind in ("relu", "sigmoid"):
-            out = ins[0]
-            c, h, w = out
-            add = c * h * w
-        elif l.kind == "interpolate":
-            c, h, w = ins[0]
-            if "factor" in a:
-                out = (c, h * a["factor"], w * a["factor"])
-            else:
-                mc, mh, mw = shapes[a["match"]]
-                out = (c, mh, mw)
-            if a["method"] == "bilinear":
-                n_el = out[0] * out[1] * out[2]
-                mult = 4 * n_el
-                add = 3 * n_el
-        elif l.kind == "concat":
-            c0, h, w = ins[0]
-            for k, (c, hh, ww) in enumerate(ins[1:], start=1):
-                if (hh, ww) != (h, w):
-                    raise ShapeError(
-                        f"{l.name}: input {k} spatial {hh}x{ww} != {h}x{w}"
-                    )
-            out = (sum(s[0] for s in ins), h, w)
-        elif l.kind == "channel_sum":
-            c, h, w = ins[0]
-            out = (1, h, w)
-            add = h * w * (c - 1)
-        elif l.kind in ("add", "sub", "scalar_add"):
-            out = ins[0]
-            c, h, w = out
-            add = c * h * w
-        elif l.kind in ("mul", "div"):
-            out = ins[0]
-            c, h, w = out
-            mult = c * h * w
-        else:
-            raise ShapeError(f"{l.name}: no counting rule for kind {l.kind!r}")
-        shapes[l.name] = out
+        out = shapes[l.name]
+        mult, add = KINDS[l.kind].cost(l.attrs, [shapes[s] for s in l.reads()], out)
         counts.append(LayerCount(l.name, l.kind, out, int(mult), int(add)))
-
-    return FlopReport(
-        layers=counts,
-        input_shape=(cin0, h0, w0),
-        padded_shape=(cin0, hp, wp),
-    )
+    return FlopReport(layers=counts, input_shape=shape, padded_shape=padded)

@@ -7,14 +7,15 @@ module on the shallowest tap, feature fusion, and a decoder that emits a
 single-channel density map at 1/8 the input resolution.
 
 The graph is plain data: an ordered list of layer records with named inputs.
-The executor walks it with the autodiff tensors; the operation-count analyzer
-walks the same records. Graphs serialize to a line-oriented text format so
-external tools can consume the identical description.
+Each layer kind is described once, in ``KINDS``, for the executor, the operation
+counter and the graph checks. Graphs serialize to a line-oriented text format
+so external tools can consume the identical description.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +38,11 @@ class Layer:
     tap: str | None = None
     block: str | None = None
 
+    def reads(self) -> tuple[str, ...]:
+        """Names of the values this layer reads: its inputs, then its ``match``."""
+        match = self.attrs.get("match")
+        return self.inputs if match is None else self.inputs + (match,)
+
 
 @dataclass
 class ModelConfig:
@@ -47,7 +53,6 @@ class ModelConfig:
     decoder_channels: tuple[int, ...] = (256, 128, 64)
     feature3_upsample: str = "bilinear"
     width_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         scales = tuple(int(s) for s in self.contextual_scales)
@@ -94,22 +99,27 @@ class GraphDescription:
         return {l.name: l for l in self.layers}
 
     def parameters(self) -> list[ParamSpec]:
-        specs: list[ParamSpec] = []
-        for l in self.layers:
-            if l.kind == "conv":
-                a = l.attrs
-                specs.append(
-                    ParamSpec(f"{l.name}.w", (a["cout"], a["cin"], a["kh"], a["kw"]), "conv_weight", True)
-                )
-                if a.get("bias"):
-                    specs.append(ParamSpec(f"{l.name}.b", (a["cout"],), "conv_bias", True))
-            elif l.kind == "batchnorm":
-                c = (l.attrs["channels"],)
-                specs.append(ParamSpec(f"{l.name}.gamma", c, "bn_gamma", True))
-                specs.append(ParamSpec(f"{l.name}.beta", c, "bn_beta", True))
-                specs.append(ParamSpec(f"{l.name}.running_mean", c, "bn_running_mean", False))
-                specs.append(ParamSpec(f"{l.name}.running_var", c, "bn_running_var", False))
-        return specs
+        return [spec for l in self.layers for spec in KINDS[l.kind].params(l)]
+
+    def check_parameters(self, params: dict[str, np.ndarray]) -> None:
+        """Raise DataError unless ``params`` holds exactly this graph's parameters."""
+        specs = {s.name: s.shape for s in self.parameters()}
+        found = {
+            "missing": [n for n in specs if n not in params],
+            "extra": [n for n in params if n not in specs],
+            "misshapen": [
+                f"{n} {np.shape(params[n])} (graph: {specs[n]})"
+                for n in specs
+                if n in params and np.shape(params[n]) != specs[n]
+            ],
+        }
+        problems = [
+            f"{len(names)} {what}: {', '.join(names[:4])}{', ...' if len(names) > 4 else ''}"
+            for what, names in found.items()
+            if names
+        ]
+        if problems:
+            raise DataError("parameters do not match the graph: " + "; ".join(problems))
 
     def backbone_blocks(self) -> list[str]:
         seen: list[str] = []
@@ -175,11 +185,46 @@ class GraphDescription:
                     else:
                         attrs[key] = _parse_attr(val)
                 layers.append(Layer(name, kind, inputs, attrs, tap, block))
+        earlier: set[str] = set()
+        for l in layers:
+            _check_layer(l, earlier)
+            earlier.add(l.name)
+        if "output" not in taps:
+            raise DataError("graph description has no 'tap output' line")
+        for tap, name in taps.items():
+            if name not in earlier:
+                raise DataError(f"tap {tap} names no layer ({name!r})")
         return cls(layers=layers, taps=taps, ablation=ablation)
 
 
 # fewest whitespace-separated fields of each graph line kind, keyword included
 _GRAPH_LINE_FIELDS = {"ablation": 2, "tap": 3, "layer": 2}
+
+
+def _check_layer(l: Layer, earlier: set[str]) -> None:
+    """DataError unless a parsed layer fits its kind and reads only earlier layers."""
+    kind = KINDS.get(l.kind)
+    if kind is None:
+        raise DataError(f"layer {l.name}: unknown kind {l.kind!r}")
+    if l.name in earlier:
+        raise DataError(f"layer {l.name}: duplicate layer name")
+    n = len(l.inputs)
+    if n != kind.arity if kind.arity is not None else n < 1:
+        wanted = "one or more" if kind.arity is None else kind.arity
+        raise DataError(f"layer {l.name}: kind {l.kind} takes {wanted} inputs, got {n}")
+    missing = sorted(kind.attrs.keys() - l.attrs.keys())
+    if missing:
+        raise DataError(f"layer {l.name}: kind {l.kind} needs attribute(s) {', '.join(missing)}")
+    allowed = {**kind.attrs, **kind.optional}
+    for key, value in l.attrs.items():
+        t = allowed.get(key)
+        if t is None:
+            raise DataError(f"layer {l.name}: kind {l.kind} has no attribute {key!r}")
+        if type(value) is not t and not (t is float and type(value) is int):
+            raise DataError(f"layer {l.name}: attribute {key}={value!r} is not {t.__name__}")
+    for src in l.reads():
+        if src not in earlier:
+            raise DataError(f"layer {l.name}: {src!r} names no earlier layer")
 
 
 def _format_attr(v) -> str:
@@ -484,6 +529,230 @@ def parameter_count(graph: GraphDescription, trainable_only: bool = True) -> int
     )
 
 
+# -- layer kinds ----------------------------------------------------------------
+#
+# Rules get the values a layer reads: its inputs, then its ``match``; a layer
+# without inputs reads the graph input. Shapes are (C, H, W); costs are
+# (multiplies, adds) under ``flops.CONVENTION``. Forward ops look their
+# ``icc.tensor`` function up when they run, never at import.
+
+
+@dataclass(frozen=True)
+class Kind:
+    attrs: dict[str, type]  # required attributes
+    arity: int | None  # number of inputs; None means one or more
+    shape: Callable  # (attrs, input shapes) -> output shape
+    cost: Callable  # (attrs, input shapes, output shape) -> (multiplies, adds)
+    run: Callable  # (layer, input tensors, parameters, mode) -> output tensor
+    params: Callable = lambda l: []  # layer -> list[ParamSpec]
+    optional: dict[str, type] = field(default_factory=dict)
+
+
+def count_conv(
+    cin: int, cout: int, kh: int, kw: int, hout: int, wout: int, bias: bool = False
+) -> tuple[int, int]:
+    """(multiplies, adds) for one convolution with the given output extent."""
+    if min(cin, cout, kh, kw, hout, wout) < 1:
+        raise ValueError("count_conv: all extents must be positive")
+    outputs = hout * wout * cout
+    k = kh * kw * cin
+    return outputs * k, outputs * (k - 1 + (1 if bias else 0))
+
+
+def _window_out(extent: int, window: int, stride: int, pad: int, dim: str) -> int:
+    padded = extent + 2 * pad
+    if window > padded or window < 1 or stride < 1 or pad < 0:
+        raise ShapeError(f"window {window} stride {stride} invalid for padded {padded} ({dim})")
+    return (padded - window) // stride + 1
+
+
+def _same_shape(a, ins):
+    if any(s != ins[0] for s in ins[1:]):
+        raise ShapeError(f"input shapes differ: {ins}")
+    return ins[0]
+
+
+def _channels_shape(a, ins):
+    if ins[0][0] != a["channels"]:
+        raise ShapeError(f"expects {a['channels']} channels, got {ins[0][0]} (dim 1)")
+    return ins[0]
+
+
+def _conv_shape(a, ins):
+    c, h, w = ins[0]
+    if c != a["cin"] or a["cout"] < 1:
+        raise ShapeError(f"{a['cin']} -> {a['cout']} channels does not fit {c} input channels")
+    return (a["cout"], _window_out(h, a["kh"], a["stride_h"], a["pad_h"], "height"),
+            _window_out(w, a["kw"], a["stride_w"], a["pad_w"], "width"))
+
+
+def _pool_shape(a, ins):
+    c, h, w = ins[0]
+    return (c, _window_out(h, a["window_h"], a["stride_h"], a["pad_h"], "height"),
+            _window_out(w, a["window_w"], a["stride_w"], a["pad_w"], "width"))
+
+
+def _adaptive_shape(a, ins):
+    c, h, w = ins[0]
+    if not (1 <= a["out_h"] <= h and 1 <= a["out_w"] <= w):
+        raise ShapeError(f"target {(a['out_h'], a['out_w'])} exceeds input extent {(h, w)}")
+    return (c, a["out_h"], a["out_w"])
+
+
+def _interpolate_shape(a, ins):
+    if a["method"] not in ("bilinear", "nearest"):
+        raise ShapeError(f"unknown method {a['method']!r}")
+    c, h, w = ins[0]
+    if a.get("factor", 1) < 1:
+        raise ShapeError(f"factor must be positive, got {a['factor']}")
+    if "factor" in a:
+        return (c, h * a["factor"], w * a["factor"])
+    if "match" not in a:
+        raise ShapeError("needs a factor or a match attribute")
+    return (c, ins[1][1], ins[1][2])
+
+
+def _concat_shape(a, ins):
+    _, h, w = ins[0]
+    for k, (_, hh, ww) in enumerate(ins[1:], start=1):
+        if (hh, ww) != (h, w):
+            raise ShapeError(f"input {k} spatial {hh}x{ww} != {h}x{w}")
+    return (sum(s[0] for s in ins), h, w)
+
+
+def _per_element(mult: int, add: int):
+    """Cost rule: ``mult`` multiplies and ``add`` adds per output element."""
+    return lambda a, ins, out: (mult * out[0] * out[1] * out[2], add * out[0] * out[1] * out[2])
+
+
+def _conv_cost(a, ins, out):
+    return count_conv(a["cin"], a["cout"], a["kh"], a["kw"], out[1], out[2], a.get("bias", False))
+
+
+def _interpolate_cost(a, ins, out):
+    return _per_element(4, 3)(a, ins, out) if a["method"] == "bilinear" else (0, 0)
+
+
+def _pool_cost(a, ins, out):
+    return 0, out[0] * out[1] * out[2] * (a["window_h"] * a["window_w"] - 1)
+
+
+def _adaptive_cost(a, ins, out):
+    c, h, w = ins[0]
+    oh, ow = a["out_h"], a["out_w"]
+    add = 0
+    for i in range(oh):
+        rh = -(-(i + 1) * h // oh) - (i * h // oh)
+        for j in range(ow):
+            rw = -(-(j + 1) * w // ow) - (j * w // ow)
+            add += c * (rh * rw - 1)
+    return 0, add
+
+
+_BN_PARAMS = ("gamma", "beta", "running_mean", "running_var")
+
+
+def _conv_params(l: Layer) -> list[ParamSpec]:
+    a = l.attrs
+    w = ParamSpec(f"{l.name}.w", (a["cout"], a["cin"], a["kh"], a["kw"]), "conv_weight", True)
+    return [w, ParamSpec(f"{l.name}.b", (a["cout"],), "conv_bias", True)] if a.get("bias") else [w]
+
+
+def _batchnorm_params(l: Layer) -> list[ParamSpec]:
+    c = (l.attrs["channels"],)
+    return [ParamSpec(f"{l.name}.{p}", c, f"bn_{p}", p in ("gamma", "beta")) for p in _BN_PARAMS]
+
+
+def _input_run(l, ins, p, mode):
+    _channels_shape(l.attrs, [ins[0].shape[1:]])
+    return T.Tensor(ins[0])
+
+
+def _conv_run(l, ins, p, mode):
+    a, bias = l.attrs, p[f"{l.name}.b"] if l.attrs.get("bias") else None
+    return T.conv2d(ins[0], p[f"{l.name}.w"], stride=(a["stride_h"], a["stride_w"]),
+                    padding=(a["pad_h"], a["pad_w"]), bias=bias)
+
+
+def _batchnorm_run(l, ins, p, mode):
+    g, b, m, v = (p[f"{l.name}.{k}"] for k in _BN_PARAMS)
+    return T.batchnorm2d(ins[0], g, b, m, v, mode=mode, eps=BN_EPS, momentum=BN_MOMENTUM)
+
+
+def _pool_run(op: str):
+    def run(l, ins, p, mode):
+        a = l.attrs
+        stride, pad = (a["stride_h"], a["stride_w"]), (a["pad_h"], a["pad_w"])
+        return getattr(T, op)(ins[0], (a["window_h"], a["window_w"]), stride=stride, padding=pad)
+
+    return run
+
+
+def _interpolate_run(l, ins, p, mode):
+    a = l.attrs
+    if "factor" in a:
+        return T.upsample(ins[0], a["factor"], method=a["method"])
+    return T.interpolate(ins[0], ins[1].shape[2], ins[1].shape[3], method=a["method"])
+
+
+def _op(name: str):
+    """Forward op calling ``icc.tensor.<name>`` on the input tensors."""
+    return lambda l, ins, p, mode: getattr(T, name)(*ins)
+
+
+_STRIDE_PAD = dict(stride_h=int, stride_w=int, pad_h=int, pad_w=int)
+_POOL = dict(window_h=int, window_w=int, **_STRIDE_PAD)
+
+# name: Kind(attrs, arity, shape, cost, run[, params][, optional])
+KINDS: dict[str, Kind] = {
+    "input": Kind({"channels": int}, 0, _channels_shape, _per_element(0, 0), _input_run),
+    "conv": Kind(dict(cin=int, cout=int, kh=int, kw=int, **_STRIDE_PAD), 1, _conv_shape,
+                 _conv_cost, _conv_run, _conv_params, optional={"bias": bool}),
+    "batchnorm": Kind({"channels": int}, 1, _channels_shape, _per_element(1, 1), _batchnorm_run,
+                      _batchnorm_params),
+    "relu": Kind({}, 1, _same_shape, _per_element(0, 1), _op("relu")),
+    "sigmoid": Kind({}, 1, _same_shape, _per_element(0, 1), _op("sigmoid")),
+    "maxpool": Kind(_POOL, 1, _pool_shape, _pool_cost, _pool_run("maxpool2d")),
+    "avgpool": Kind(_POOL, 1, _pool_shape, _pool_cost, _pool_run("avgpool2d")),
+    "adaptive_avgpool": Kind(
+        {"out_h": int, "out_w": int}, 1, _adaptive_shape, _adaptive_cost,
+        lambda l, ins, p, mode: T.adaptive_avgpool2d(ins[0], l.attrs["out_h"], l.attrs["out_w"])),
+    "interpolate": Kind({"method": str}, 1, _interpolate_shape, _interpolate_cost,
+                        _interpolate_run, optional={"factor": int, "match": str}),
+    "concat": Kind({}, None, _concat_shape, _per_element(0, 0),
+                   lambda l, ins, p, mode: T.concat_channels(ins)),
+    "channel_sum": Kind({}, 1, lambda a, ins: (1, ins[0][1], ins[0][2]),
+                        lambda a, ins, out: (0, out[1] * out[2] * (ins[0][0] - 1)),
+                        _op("channel_sum")),
+    "add": Kind({}, 2, _same_shape, _per_element(0, 1), _op("add")),
+    "sub": Kind({}, 2, _same_shape, _per_element(0, 1), _op("sub")),
+    "mul": Kind({}, 2, _same_shape, _per_element(1, 0), _op("mul")),
+    "div": Kind({}, 2, _same_shape, _per_element(1, 0), _op("div")),
+    "scalar_add": Kind({"value": float}, 1, _same_shape, _per_element(0, 1),
+                       lambda l, ins, p, mode: T.add(ins[0], float(l.attrs["value"]))),
+}
+
+
+def padded_shape(shape: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(C, H, W) with H and W rounded up to the execution pad multiple."""
+    c, h, w = (int(v) for v in shape)
+    return (c, h + (-h) % PAD_MULTIPLE, w + (-w) % PAD_MULTIPLE)
+
+
+def infer_shapes(graph: GraphDescription, shape: tuple[int, int, int]) -> dict[str, tuple]:
+    """Each layer's output (C, H, W) for a graph input of ``shape``; ShapeError names the layer."""
+    shapes: dict[str, tuple] = {}
+    for l in graph.layers:
+        try:
+            ins = [shapes[s] for s in l.reads()] if l.inputs else [tuple(shape)]
+            shapes[l.name] = KINDS[l.kind].shape(l.attrs, ins)
+        except KeyError as e:
+            raise ShapeError(f"{l.name} ({l.kind}): {e.args[0]!r} is not defined") from None
+        except ShapeError as e:
+            raise ShapeError(f"{l.name}: {e}") from None
+    return shapes
+
+
 # -- execution ----------------------------------------------------------------
 
 
@@ -526,117 +795,38 @@ def forward(
     ``mode`` selects batch-norm behaviour (train updates running statistics
     in place). With ``requires_grad`` the result supports ``backward``;
     ``keep_activations`` retains every intermediate (debugging aid, costs
-    memory).
+    memory). ``params`` must match the graph (DataError otherwise).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeError(f"forward: input must be [N, C, H, W], got shape {x.shape}")
-
-    trainable = {s.name for s in graph.parameters() if s.trainable}
+    graph.check_parameters(params)
     param_tensors = {
-        name: T.Tensor(params[name], requires_grad=requires_grad)
-        for name in trainable
-        if name in params
+        s.name: T.Tensor(params[s.name], requires_grad=requires_grad)
+        for s in graph.parameters()
+        if s.trainable
     }
-    missing = trainable - set(param_tensors)
-    if missing:
-        raise KeyError(f"missing parameters: {sorted(missing)[:5]}")
+    p = {**params, **param_tensors}
 
     keep = set(graph.taps.values())
-    consumers: dict[str, int] = {}
-    for l in graph.layers:
-        for src in l.inputs:
-            consumers[src] = consumers.get(src, 0) + 1
-
+    last_reader = {src: i for i, l in enumerate(graph.layers) for src in l.reads()}
     values: dict[str, T.Tensor] = {}
     taps: dict[str, T.Tensor] = {}
 
     def run():
-        for l in graph.layers:
-            ins = [values[s] for s in l.inputs]
-            a = l.attrs
-            if l.kind == "input":
-                if x.shape[1] != a["channels"]:
-                    raise ShapeError(
-                        f"forward: input has {x.shape[1]} channels, graph expects "
-                        f"{a['channels']} (dim 1)"
-                    )
-                out = T.Tensor(x)
-            elif l.kind == "conv":
-                out = T.conv2d(
-                    ins[0],
-                    param_tensors[f"{l.name}.w"],
-                    stride=(a["stride_h"], a["stride_w"]),
-                    padding=(a["pad_h"], a["pad_w"]),
-                    bias=param_tensors.get(f"{l.name}.b") if a.get("bias") else None,
-                )
-            elif l.kind == "batchnorm":
-                out = T.batchnorm2d(
-                    ins[0],
-                    param_tensors[f"{l.name}.gamma"],
-                    param_tensors[f"{l.name}.beta"],
-                    params[f"{l.name}.running_mean"],
-                    params[f"{l.name}.running_var"],
-                    mode=mode,
-                    eps=BN_EPS,
-                    momentum=BN_MOMENTUM,
-                )
-            elif l.kind == "relu":
-                out = T.relu(ins[0])
-            elif l.kind == "sigmoid":
-                out = T.sigmoid(ins[0])
-            elif l.kind == "maxpool":
-                out = T.maxpool2d(
-                    ins[0], (a["window_h"], a["window_w"]),
-                    stride=(a["stride_h"], a["stride_w"]),
-                    padding=(a["pad_h"], a["pad_w"]),
-                )
-            elif l.kind == "avgpool":
-                out = T.avgpool2d(
-                    ins[0], (a["window_h"], a["window_w"]),
-                    stride=(a["stride_h"], a["stride_w"]),
-                    padding=(a["pad_h"], a["pad_w"]),
-                )
-            elif l.kind == "adaptive_avgpool":
-                out = T.adaptive_avgpool2d(ins[0], a["out_h"], a["out_w"])
-            elif l.kind == "interpolate":
-                if "factor" in a:
-                    out = T.upsample(ins[0], a["factor"], method=a["method"])
-                else:
-                    ref = values[a["match"]]
-                    out = T.interpolate(ins[0], ref.shape[2], ref.shape[3], method=a["method"])
-            elif l.kind == "concat":
-                out = T.concat_channels(ins)
-            elif l.kind == "channel_sum":
-                out = T.channel_sum(ins[0])
-            elif l.kind == "add":
-                out = T.add(ins[0], ins[1])
-            elif l.kind == "sub":
-                out = T.sub(ins[0], ins[1])
-            elif l.kind == "mul":
-                out = T.mul(ins[0], ins[1])
-            elif l.kind == "div":
-                out = T.div(ins[0], ins[1])
-            elif l.kind == "scalar_add":
-                out = T.add(ins[0], float(a["value"]))
-            else:
-                raise ValueError(f"unknown layer kind {l.kind!r} ({l.name})")
+        for i, l in enumerate(graph.layers):
+            ins = [values[s] for s in l.reads()] if l.inputs else [x]
+            out = KINDS[l.kind].run(l, ins, p, mode)
             values[l.name] = out
-            if l.name in graph.taps.values():
-                taps_for = [t for t, n in graph.taps.items() if n == l.name]
-                for t in taps_for:
+            for t, n in graph.taps.items():
+                if n == l.name:
                     taps[t] = out
-            for src in l.inputs:
-                consumers[src] -= 1
-                if (
-                    not keep_activations
-                    and consumers[src] == 0
-                    and src not in keep
-                    and not _referenced_later(graph, src, l)
-                ):
-                    values.pop(src, None)
+            if not keep_activations:
+                for src in l.reads():
+                    if last_reader[src] == i and src not in keep:
+                        values.pop(src, None)
 
     if requires_grad:
         run()
@@ -651,18 +841,6 @@ def forward(
         param_tensors=param_tensors,
         activations=values if keep_activations else None,
     )
-
-
-def _referenced_later(graph: GraphDescription, name: str, current: Layer) -> bool:
-    # interpolate 'match' references need the target's shape, so keep those
-    reached = False
-    for l in graph.layers:
-        if l is current:
-            reached = True
-            continue
-        if reached and l.attrs.get("match") == name:
-            return True
-    return False
 
 
 # -- whole-image prediction ----------------------------------------------------
@@ -686,11 +864,17 @@ def predict_density(
     """Run one [C, H, W] image through the net; returns the stride-8 map.
 
     The image is reflect-padded to a multiple of 32 and the output cropped
-    back to ceil(H/8) x ceil(W/8).
+    back to ceil(H/8) x ceil(W/8). An image the graph cannot take raises
+    DataError naming its size and the first layer it does not fit.
     """
     if image.ndim != 3:
         raise ShapeError(f"predict_density: image must be [C, H, W], got {image.shape}")
     h, w = image.shape[1:]
+    c, hp, wp = padded_shape(image.shape)
+    try:
+        infer_shapes(graph, (c, hp, wp))
+    except ShapeError as e:
+        raise DataError(f"a {h}x{w} image (padded to {hp}x{wp}) does not fit: {e}") from None
     padded = pad_to_multiple(image)
     result = forward(graph, params, padded[None], mode="eval", requires_grad=False)
     out = result.output.data[0, 0]

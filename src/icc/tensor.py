@@ -549,11 +549,9 @@ def batchnorm2d(
         if mode == "eval":
             _accumulate(x, gscaled * inv.reshape(1, c, 1, 1))
             return
-        count = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
         mean_g = gscaled.mean(axis=(0, 2, 3), keepdims=True)
         mean_gx = (gscaled * xhat).mean(axis=(0, 2, 3), keepdims=True)
         _accumulate(x, inv.reshape(1, c, 1, 1) * (gscaled - mean_g - xhat * mean_gx))
-        del count
 
     return _make(out_data, (x, gamma, beta), backward, "batchnorm2d")
 

@@ -71,20 +71,18 @@ class TrainConfig:
             use_contextual_module=self.ablation != "no-context",
             use_inception_blocks=self.ablation != "no-inception",
             width_scale=self.width_scale,
-            seed=self.seed,
         )
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         return cls().apply_pairs(_parse_pairs(text.splitlines()))
 
     def apply_pairs(self, pairs: dict[str, str]) -> "TrainConfig":
         values = dataclasses.asdict(self)
-        types = {f.name: f.type for f in dataclasses.fields(self)}
         for key, raw in pairs.items():
             if key not in values:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -100,7 +98,6 @@ class TrainConfig:
                     values[key] = raw
             except ValueError:
                 raise ConfigError(f"bad value {raw!r} for config key {key!r}") from None
-        del types
         return TrainConfig(**values)
 
 
@@ -324,8 +321,13 @@ def load_model(checkpoint_path, graph_path=None):
     gpath = Path(graph_path) if graph_path else ckpt.with_suffix(".graph")
     if not gpath.exists():
         raise DataError(f"graph description {gpath} not found (expected beside checkpoint)")
-    graph = M.GraphDescription.from_text(gpath.read_text(encoding="utf-8"))
+    try:
+        text = gpath.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read graph description {gpath}: {e}") from None
+    graph = M.GraphDescription.from_text(text)
     params = load_checkpoint(ckpt)
+    graph.check_parameters(params)
     return graph, params
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from icc import model as M
 from icc import tensor as T
-from icc.errors import ConfigError, ShapeError
+from icc.errors import ConfigError, DataError, ShapeError
 from icc.flops import count_graph
 
 
@@ -126,6 +126,29 @@ class TestShapes:
         params = M.init_parameters(graph, 0)
         with pytest.raises(ShapeError, match="channels"):
             M.forward(graph, params, np.zeros((1, 4, 64, 64), dtype=np.float32))
+
+    def test_mismatched_parameters_rejected(self):
+        graph = M.build_icc(small_config())
+        params = M.init_parameters(graph, 0)
+        params["stray.w"] = np.zeros(1, np.float32)
+        del params["decoder.conv1.b"]
+        with pytest.raises(DataError, match="1 missing: decoder.conv1.b; 1 extra: stray.w"):
+            M.forward(graph, params, np.zeros((1, 3, 64, 64), dtype=np.float32))
+
+    def test_ops_looked_up_when_they_run(self, monkeypatch):
+        # a wrapper installed on icc.tensor after import must see every op
+        ops = {"conv2d", "batchnorm2d", "maxpool2d", "avgpool2d", "adaptive_avgpool2d",
+               "interpolate", "upsample", "concat_channels", "channel_sum", "relu", "sigmoid",
+               "add", "sub", "mul", "div"}
+        called = set()
+        for op in ops:
+            def wrapped(*args, _op=op, _real=getattr(T, op), **kw):
+                called.add(_op)
+                return _real(*args, **kw)
+            monkeypatch.setattr(T, op, wrapped)
+        graph = M.build_icc(small_config())
+        M.forward(graph, M.init_parameters(graph, 0), np.ones((1, 3, 64, 64), np.float32))
+        assert called == ops
 
 
 class TestContextualModule:

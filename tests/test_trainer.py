@@ -27,6 +27,20 @@ def tiny_dirs(tmp_path_factory):
     return root
 
 
+GRAPH_HEAD = "ICCGRAPH 1\nablation none\ntap output input\nlayer input kind=input channels=3\n"
+
+
+def run_infer_process(ckpt, graph, image, output):
+    """``icc infer`` in a separate process, so that an uncaught exception
+    shows as exit 1 and a traceback on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(icc.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "icc.cli", "infer", "--checkpoint", str(ckpt),
+         "--graph", str(graph), "--image", str(image), "--output", str(output)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def tiny_config(tiny_dirs, out, **kw):
     base = dict(
         epochs=1,
@@ -261,24 +275,62 @@ class TestCLI:
         ("ICCGRAPH 1\nablation none\ntap out\n", "truncated"),
         ("ICCGRAPH 1\nablation none\nlayer\n", "truncated"),
         ("ICCGRAPH 1\nablation none\nnode x kind=relu\n", "unrecognized"),
-    ], ids=["no-header", "ablation", "tap", "layer", "unknown-line"])
+        (f"{GRAPH_HEAD}layer x kind=warp inputs=input\n", "unknown kind 'warp'"),
+        (f"{GRAPH_HEAD}layer x kind=conv inputs=input cin=3 kh=1 kw=1 stride_h=1 stride_w=1 "
+         "pad_h=0 pad_w=0\n", "needs attribute(s) cout"),
+        ("ICCGRAPH 1\ntap output input\nlayer input kind=input channels=three\n",
+         "channels='three' is not int"),
+        (f"{GRAPH_HEAD}layer x kind=add inputs=input\n", "takes 2 inputs, got 1"),
+        (f"{GRAPH_HEAD}layer x kind=relu inputs=nope\n", "'nope' names no earlier layer"),
+        (f"{GRAPH_HEAD}layer x kind=interpolate inputs=input method=bilinear match=later\n"
+         "layer later kind=relu inputs=input\n", "'later' names no earlier layer"),
+        ("ICCGRAPH 1\ntap output ghost\nlayer input kind=input channels=3\n",
+         "tap output names no layer"),
+        ("ICCGRAPH 1\nablation none\nlayer input kind=input channels=3\n", "tap output"),
+    ], ids=["no-header", "ablation", "tap", "layer", "unknown-line", "unknown-kind",
+            "missing-attr", "attr-type", "arity", "input-name", "match-name", "tap-name",
+            "no-output-tap"])
     def test_malformed_graph_exit_code(self, tmp_path, text, reason):
-        # a separate process, so that an uncaught exception shows as exit 1
-        # and a traceback on stderr
         ckpt = tmp_path / "model.iccw"
         save_checkpoint(ckpt, {"w": np.zeros(1, np.float32)})
         graph = tmp_path / "bad.graph"
         graph.write_text(text, encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(Path(icc.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "icc.cli", "infer", "--checkpoint", str(ckpt),
-             "--graph", str(graph), "--image", str(tmp_path / "unused.ppm"),
-             "--output", str(tmp_path / "o.iccd")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_infer_process(ckpt, graph, tmp_path / "unused.ppm", tmp_path / "o.iccd")
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
         assert reason in proc.stderr
+
+    MISMATCHES = {
+        "wider-checkpoint": "misshapen: stem.conv1.conv.w (16, 3, 3, 3) (graph: (8, 3, 3, 3))",
+        "missing-weight": "1 missing: decoder.conv1.w",
+        "missing-running-mean": "1 missing: stem.conv1.bn.running_mean",
+        "bias-length": "misshapen: decoder.conv1.b (5,) (graph: (64,))",
+        "image-16x16": "16x16 image (padded to 32x32) does not fit: context.s6.pool",
+        "image-0x0": "0x0 image (padded to 0x0) does not fit: stem.conv1.conv",
+    }
+
+    @pytest.mark.parametrize("case", list(MISMATCHES))
+    def test_mismatched_model_input_exit_code(self, tmp_path, case):
+        graph = M.build_icc(M.ModelConfig(width_scale=0.25))
+        params = M.init_parameters(graph, 0)
+        if case == "wider-checkpoint":
+            params = M.init_parameters(M.build_icc(M.ModelConfig(width_scale=0.5)), 0)
+        elif case == "missing-weight":
+            del params["decoder.conv1.w"]
+        elif case == "missing-running-mean":
+            del params["stem.conv1.bn.running_mean"]
+        elif case == "bias-length":
+            params["decoder.conv1.b"] = np.zeros(5, np.float32)
+        extent = {"image-16x16": 16, "image-0x0": 0}.get(case, 64)
+        image = tmp_path / "scene.ppm"
+        D.write_ppm(image, np.full((3, extent, extent), 0.5, np.float32))
+        ckpt = tmp_path / "model.iccw"
+        save_checkpoint(ckpt, params)
+        (tmp_path / "model.graph").write_text(graph.to_text(), encoding="utf-8")
+        proc = run_infer_process(ckpt, tmp_path / "model.graph", image, tmp_path / "o.iccd")
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert self.MISMATCHES[case] in proc.stderr
 
     def test_cli_train_eval_round_trip(self, tiny_dirs, tmp_path, capsys):
         out = tmp_path / "cli_run"
