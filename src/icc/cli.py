@@ -8,12 +8,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import data as D
 from . import flops as F
 from . import model as M
-from . import tensor as T
 from . import train as TR
 from .errors import ConfigError, DataError, NumericError
 
@@ -42,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--graph", help="graph description (default: beside the checkpoint)")
     e.add_argument("--data-dir", required=True)
-    e.add_argument("--precision", type=int, choices=(32, 64), default=32)
 
     i = sub.add_parser("infer", help="predict one image's density map and count")
     i.add_argument("--checkpoint", required=True)
@@ -50,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--image", required=True)
     i.add_argument("--output", required=True, help="ICCD density map output path")
     i.add_argument("--upsample", action="store_true", help="write a full-resolution map")
-    i.add_argument("--precision", type=int, choices=(32, 64), default=32)
 
     f = sub.add_parser("flops", help="operation-count report for a model configuration")
     f.add_argument("--height", type=int, default=1080)
@@ -101,7 +96,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    T.set_default_dtype(np.float64 if args.precision == 64 else np.float32)
     graph, params = TR.load_model(args.checkpoint, args.graph)
     result = TR.evaluate(graph, params, args.data_dir)
     for rec_id, z, zhat in result.records:
@@ -111,7 +105,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    T.set_default_dtype(np.float64 if args.precision == 64 else np.float32)
     graph, params = TR.load_model(args.checkpoint, args.graph)
     count = TR.infer(graph, params, args.image, args.output, upsample=args.upsample)
     print(f"count={count:.3f}")

@@ -14,6 +14,8 @@ so external tools can consume the identical description.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -64,8 +66,8 @@ class ModelConfig:
         self.decoder_channels = tuple(int(c) for c in self.decoder_channels)
         if not self.decoder_channels:
             raise ConfigError("decoder channel plan must not be empty")
-        if self.width_scale <= 0:
-            raise ConfigError(f"width scale must be positive, got {self.width_scale}")
+        if not 0 < self.width_scale < math.inf:
+            raise ConfigError(f"width scale must be positive and finite, got {self.width_scale}")
         if self.feature3_upsample not in ("bilinear", "nearest"):
             raise ConfigError(f"unknown upsample method {self.feature3_upsample!r}")
 
@@ -101,9 +103,13 @@ class GraphDescription:
     def parameters(self) -> list[ParamSpec]:
         return [spec for l in self.layers for spec in KINDS[l.kind].params(l)]
 
-    def check_parameters(self, params: dict[str, np.ndarray]) -> None:
-        """Raise DataError unless ``params`` holds exactly this graph's parameters."""
+    def check_parameters(self, params: dict[str, np.ndarray]) -> np.dtype | None:
+        """DataError unless ``params`` is exactly this graph's parameters, all of
+        one float dtype; returns that dtype (None for a graph without any)."""
         specs = {s.name: s.shape for s in self.parameters()}
+        dtypes = {n: np.asarray(params[n]).dtype for n in specs if n in params}
+        counts = Counter(dtypes.values())
+        dtype = max(counts, key=counts.get, default=None)
         found = {
             "missing": [n for n in specs if n not in params],
             "extra": [n for n in params if n not in specs],
@@ -112,14 +118,18 @@ class GraphDescription:
                 for n in specs
                 if n in params and np.shape(params[n]) != specs[n]
             ],
+            f"not {dtype}": [f"{n} ({d})" for n, d in dtypes.items() if d != dtype],
         }
         problems = [
             f"{len(names)} {what}: {', '.join(names[:4])}{', ...' if len(names) > 4 else ''}"
             for what, names in found.items()
             if names
         ]
+        if dtype not in (None, np.float32, np.float64):
+            problems.append(f"dtype {dtype} is not float32 or float64")
         if problems:
             raise DataError("parameters do not match the graph: " + "; ".join(problems))
+        return dtype
 
     def backbone_blocks(self) -> list[str]:
         seen: list[str] = []
@@ -795,14 +805,14 @@ def forward(
     ``mode`` selects batch-norm behaviour (train updates running statistics
     in place). With ``requires_grad`` the result supports ``backward``;
     ``keep_activations`` retains every intermediate (debugging aid, costs
-    memory). ``params`` must match the graph (DataError otherwise).
+    memory). ``params`` must match the graph (DataError otherwise), and ``x``
+    is cast to their dtype.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = np.asarray(x)
+    x = np.asarray(x, dtype=graph.check_parameters(params))
     if x.ndim != 4:
         raise ShapeError(f"forward: input must be [N, C, H, W], got shape {x.shape}")
-    graph.check_parameters(params)
     param_tensors = {
         s.name: T.Tensor(params[s.name], requires_grad=requires_grad)
         for s in graph.parameters()

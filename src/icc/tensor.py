@@ -1,12 +1,13 @@
 """Dense tensors with reverse-mode differentiation over a fixed operator set.
 
-Everything is numpy underneath. A Tensor wraps one contiguous float array
-(float32 by default, float64 when gradient checks need the headroom) and the
-operators below record just enough of the forward pass to run the reverse
-sweep. The operator set is exactly what the counting network needs: conv2d
-(plus the two-stage separable form), max/avg pooling, adaptive average
+Everything is numpy underneath. A Tensor wraps one float32 or float64 array
+and the operators below record just enough of the forward pass to run the
+reverse sweep. The operator set is exactly what the counting network needs:
+conv2d (plus the two-stage separable form), max/avg pooling, adaptive average
 pooling, batch norm, relu/sigmoid, bilinear/nearest resizing, channel
-concat/sum and elementwise arithmetic.
+concat/sum and elementwise arithmetic. An op's output has its tensor
+operands' dtype; a number given to the arithmetic ops takes the dtype of the
+Tensor beside it.
 
 Every forward op validates that its output is finite; NaN/Inf raises
 NumericError immediately instead of propagating silently.
@@ -24,7 +25,7 @@ _GRAD_ENABLED = True
 
 
 def set_default_dtype(dtype) -> None:
-    """Select the scalar type (np.float32 or np.float64) for new tensors."""
+    """Select the dtype of non-float data in a Tensor and of new parameters."""
     global _DEFAULT_DTYPE
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -96,9 +97,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -195,6 +193,15 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors; a non-Tensor one takes the other's dtype."""
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.dtype))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.dtype))
+    return a, b
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (adjoint of numpy broadcasting)."""
     if g.shape == shape:
@@ -212,7 +219,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+    a, b = _operands(a, b)
     out_data = a.data + b.data
 
     def backward(g):
@@ -223,7 +230,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+    a, b = _operands(a, b)
     out_data = a.data - b.data
 
     def backward(g):
@@ -234,7 +241,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+    a, b = _operands(a, b)
     out_data = a.data * b.data
 
     def backward(g):
@@ -245,7 +252,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+    a, b = _operands(a, b)
     out_data = a.data / b.data
 
     def backward(g):

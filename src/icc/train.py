@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,14 +46,21 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
+        for key in ("ot_epsilon", "lambda1", "lambda2", "weight_decay"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        if self.sinkhorn_iters < 1:
+            raise ConfigError(f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}")
         if not 0.0 < self.lr_gamma <= 1.0:
             raise ConfigError(f"lr gamma must lie in (0, 1], got {self.lr_gamma}")
-        if self.crop_size % M.PAD_MULTIPLE:
+        if self.crop_size < 1 or self.crop_size % M.PAD_MULTIPLE:
             raise ConfigError(
-                f"crop size must be a multiple of {M.PAD_MULTIPLE}, got {self.crop_size}"
+                f"crop size must be a positive multiple of {M.PAD_MULTIPLE}, got {self.crop_size}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.precision not in (32, 64):
             raise ConfigError(f"precision must be 32 or 64, got {self.precision}")
         if self.ablation not in ("none", "no-context", "no-inception"):
@@ -165,7 +173,6 @@ def _sample_loss(target: np.ndarray, pred: np.ndarray, cfg: TrainConfig):
 
 def train(config: TrainConfig) -> TrainResult:
     """Run the training loop; keeps the checkpoint with the best validation MAE."""
-    T.set_default_dtype(np.float64 if config.precision == 64 else np.float32)
     train_images = D.load_dataset(config.train_dir)
     val_images = D.load_dataset(config.val_dir)
     out_dir = Path(config.out_dir)
@@ -176,7 +183,7 @@ def train(config: TrainConfig) -> TrainResult:
 
     graph = M.build_icc(config.model_config())
     graph_path.write_text(graph.to_text(), encoding="utf-8")
-    params = M.init_parameters(graph, config.seed)
+    params = M.init_parameters(graph, config.seed, dtype=f"float{config.precision}")
     opt = AdamW(
         params,
         lr=config.learning_rate,
@@ -207,7 +214,7 @@ def train(config: TrainConfig) -> TrainResult:
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
             samples = [random_crop_padded(normalized[i], hc, wc, rng) for i in idx]
-            batch = np.stack([s.image for s in samples]).astype(T.default_dtype())
+            batch = np.stack([s.image for s in samples])
             run = M.forward(graph, params, batch, mode="train", requires_grad=True)
             out = run.output.data  # [B, 1, h', w']
             seed_grad = np.zeros_like(out)
@@ -266,7 +273,7 @@ def random_crop_padded(ann: D.AnnotatedImage, hc: int, wc: int, rng) -> D.Sample
 def _validation_mae(graph, params, images) -> float:
     errors = []
     for ann in images:
-        pred = M.predict_density(graph, params, ann.image.astype(T.default_dtype()))
+        pred = M.predict_density(graph, params, ann.image)
         errors.append(abs(float(pred.sum()) - len(ann.points)))
     return float(np.mean(errors))
 
@@ -304,7 +311,7 @@ def evaluate(graph: M.GraphDescription, params: dict, data_dir) -> EvalResult:
     records = []
     elapsed = 0.0
     for ann in images:
-        x = D.normalize(ann.image).astype(T.default_dtype())
+        x = D.normalize(ann.image)
         t0 = time.perf_counter()
         pred = M.predict_density(graph, params, x)
         elapsed += time.perf_counter() - t0
@@ -345,8 +352,7 @@ def infer(
     """
     image = D.read_ppm(image_path)
     h, w = image.shape[1:]
-    x = D.normalize(image).astype(T.default_dtype())
-    dmap = M.predict_density(graph, params, x)
+    dmap = M.predict_density(graph, params, D.normalize(image))
     count = float(dmap.sum())
     if upsample:
         t = T.interpolate(T.Tensor(dmap[None, None].astype(np.float64)), h, w, "bilinear")

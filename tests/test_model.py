@@ -113,12 +113,15 @@ class TestShapes:
     def test_analyzer_shapes_match_execution(self):
         cfg = small_config()
         graph = M.build_icc(cfg)
-        params = M.init_parameters(graph, 0)
-        run = run_image(graph, params, 64, 96, keep_activations=True)
         report = count_graph(graph, (3, 64, 96))
         shapes = {l.name: l.out_shape for l in report.layers}
-        for name, t in run.activations.items():
-            assert shapes[name] == t.shape[1:], name
+        # a float32 input runs in the parameters' dtype, through every layer
+        for dtype in (np.float32, np.float64):
+            params = M.init_parameters(graph, 0, dtype)
+            run = run_image(graph, params, 64, 96, keep_activations=True)
+            for name, t in run.activations.items():
+                assert shapes[name] == t.shape[1:], name
+                assert t.dtype == dtype, (name, t.dtype)
 
     def test_wrong_channel_count_rejected(self):
         cfg = small_config()
@@ -258,8 +261,9 @@ class TestAblations:
             M.ModelConfig(contextual_scales=(1, 3, 2))
         with pytest.raises(ConfigError, match=">= 1"):
             M.ModelConfig(contextual_scales=(0, 2))
-        with pytest.raises(ConfigError, match="width"):
-            M.ModelConfig(width_scale=0.0)
+        for width in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="width"):
+                M.ModelConfig(width_scale=width)
 
 
 class TestInitialization:

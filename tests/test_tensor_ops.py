@@ -195,6 +195,13 @@ class TestActivations:
         assert np.all(out.data > 0) and np.all(out.data < 1)
 
 
+class TestScalarOperands:
+    def test_number_takes_the_tensor_dtype(self):
+        t = T.Tensor(np.ones((2, 3), np.float32))
+        for out in (T.add(t, 1e-6), -t, 1.0 - t, t * 0.5, t / 2.0):
+            assert out.dtype == np.float32
+
+
 class TestResampling:
     def test_factor_one_identity(self):
         rng = np.random.default_rng(23)

@@ -11,6 +11,7 @@ import pytest
 import icc
 from icc import data as D
 from icc import model as M
+from icc import tensor as T
 from icc import train as TR
 from icc.cli import main as cli_main
 from icc.checkpoint import load_checkpoint, save_checkpoint
@@ -80,8 +81,24 @@ class TestConfig:
             TR.TrainConfig(learning_rate=-1.0)
         with pytest.raises(ConfigError):
             TR.TrainConfig(crop_size=40)
+        with pytest.raises(ConfigError, match="positive multiple"):
+            TR.TrainConfig(crop_size=0, ablation="no-context")
         with pytest.raises(ConfigError):
             TR.TrainConfig(ablation="no-everything")
+        nan, inf = float("nan"), float("inf")
+        for key, values in {
+            "width_scale": (nan, inf),
+            "learning_rate": (nan, inf, 0.0),
+            "sinkhorn_iters": (0,),
+            "ot_epsilon": (-1.0, nan, inf),
+            "lambda1": (nan, -0.1),
+            "lambda2": (-5.0, inf),
+            "weight_decay": (nan, -1e-4),
+            "seed": (-1,),
+        }.items():
+            for value in values:
+                with pytest.raises(ConfigError, match=key.replace("_", ".")):
+                    TR.TrainConfig(**{key: value})
 
     def test_malformed_line(self, tmp_path):
         f = tmp_path / "bad.cfg"
@@ -145,6 +162,13 @@ class TestTrainLoop:
         result = TR.train(cfg)
         assert result.best_val_mae <= result.history[0].val_mae
         assert result.history[result.best_epoch].val_mae == result.best_val_mae
+
+    def test_precision_64_checkpoint_leaves_default_dtype(self, tiny_dirs, tmp_path):
+        before = T.default_dtype()
+        result = TR.train(tiny_config(tiny_dirs, tmp_path / "run64", precision=64))
+        assert T.default_dtype() is before
+        saved = load_checkpoint(result.checkpoint_path)
+        assert {a.dtype for a in saved.values()} == {np.dtype(np.float64)}
 
     def test_lr_decays_per_epoch(self, tiny_dirs, tmp_path):
         cfg = tiny_config(tiny_dirs, tmp_path / "run4", epochs=3, lr_gamma=0.5)
@@ -255,6 +279,7 @@ class TestCLI:
         rc = cli_main(["train", "--train-dir", str(tmp_path), "--val-dir", str(tmp_path),
                        "--set", "epochs=zero"])
         assert rc == 2
+        assert cli_main(["flops", "--width-scale", "nan"]) == 2
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         rc = cli_main(["train", "--train-dir", str(tmp_path / "nope"),
@@ -307,6 +332,7 @@ class TestCLI:
         "bias-length": "misshapen: decoder.conv1.b (5,) (graph: (64,))",
         "image-16x16": "16x16 image (padded to 32x32) does not fit: context.s6.pool",
         "image-0x0": "0x0 image (padded to 0x0) does not fit: stem.conv1.conv",
+        "float64-array": "1 not float32: decoder.conv1.b (float64)",
     }
 
     @pytest.mark.parametrize("case", list(MISMATCHES))
@@ -321,6 +347,8 @@ class TestCLI:
             del params["stem.conv1.bn.running_mean"]
         elif case == "bias-length":
             params["decoder.conv1.b"] = np.zeros(5, np.float32)
+        elif case == "float64-array":
+            params["decoder.conv1.b"] = params["decoder.conv1.b"].astype(np.float64)
         extent = {"image-16x16": 16, "image-0x0": 0}.get(case, 64)
         image = tmp_path / "scene.ppm"
         D.write_ppm(image, np.full((3, extent, extent), 0.5, np.float32))
