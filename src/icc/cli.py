@@ -12,7 +12,7 @@ from . import data as D
 from . import flops as F
 from . import model as M
 from . import train as TR
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 
 
 def _add_train_overrides(p: argparse.ArgumentParser) -> None:
@@ -118,7 +118,13 @@ def _cmd_flops(args) -> int:
         width_scale=args.width_scale,
     )
     graph = M.build_icc(config)
-    report = F.count_graph(graph, (3, args.height, args.width))
+    try:
+        report = F.count_graph(graph, (3, args.height, args.width))
+    except ShapeError as e:
+        _, hp, wp = M.padded_shape((3, args.height, args.width))
+        raise ConfigError(
+            f"a {args.height}x{args.width} input (padded to {hp}x{wp}) does not fit: {e}"
+        ) from None
     if args.records:
         print(report.lines(), end="")
     elif args.per_layer:

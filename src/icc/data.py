@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 DOWNSAMPLE = 8
 # per-channel statistics applied before the network (ImageNet convention)
@@ -136,13 +136,19 @@ def generate_synthetic(
     n_images: int,
     seed: int,
 ) -> list[AnnotatedImage]:
-    """Gaussian head blobs on a smooth textured background, one rng per seed."""
+    """Gaussian head blobs on a smooth textured background, one rng per seed.
+
+    Heads keep a 4-pixel margin from the border, so an image needs at least
+    8x8 pixels; ConfigError names a count range or size that cannot be made.
+    """
     lo, hi = count_range
+    margin = 4.0
     if lo < 0 or hi < lo:
-        raise ValueError(f"invalid count range {count_range}")
+        raise ConfigError(f"invalid count range {lo}..{hi}: need 0 <= count-min <= count-max")
+    if min(h, w) < 2 * margin:
+        raise ConfigError(f"image size {h}x{w} is below the 8x8 minimum (4-pixel head margin)")
     rng = np.random.default_rng(seed)
     images = []
-    margin = 4.0
     yy, xx = np.mgrid[0:h, 0:w]
     for k in range(n_images):
         base = rng.uniform(0.25, 0.55)

@@ -307,6 +307,9 @@ class DMCountLoss:
     tv_term: float
     ot_entropic: float        # OT scalar consistent with the gradient
     smooth_total: float       # count + l1*ot_entropic + l2*||y||*tv
+    iterations: int           # of the Sinkhorn solve
+    converged: bool
+    marginal_error: float
 
 
 def dm_count_loss(
@@ -333,4 +336,7 @@ def dm_count_loss(
         tv_term=ltv,
         ot_entropic=ot.entropic_value,
         smooth_total=float(lc + lambda1 * ot.entropic_value + lambda2 * ymass * ltv),
+        iterations=ot.plan.iterations,
+        converged=ot.plan.converged,
+        marginal_error=ot.plan.marginal_error,
     )

@@ -11,6 +11,16 @@ Tensor beside it.
 
 Every forward op validates that its output is finite; NaN/Inf raises
 NumericError immediately instead of propagating silently.
+
+When an op will record no backward (grad is disabled, or no operand requires
+grad) and its operands share one dtype, conv2d, maxpool2d, avgpool2d and
+eval-mode batchnorm2d take a branch that keeps nothing for the reverse sweep:
+conv2d fills a fixed-size column buffer one band of output rows at a time (a
+1x1 stride-1 unpadded conv is a single matmul), pooling reduces shifted
+strided views of the padded input, and batch norm works in place on one
+fresh buffer. They give the grad path's outputs bit for bit, except avgpool,
+whose sums run in another order, and a conv over several bands, whose
+narrower GEMMs the BLAS may round differently.
 """
 
 from __future__ import annotations
@@ -22,6 +32,8 @@ from .errors import NumericError, ShapeError
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
+# Byte size of the no-grad conv2d column buffer; it holds one band of output rows.
+_COL_BUFFER_BYTES = 8 << 20
 
 
 def set_default_dtype(dtype) -> None:
@@ -53,7 +65,11 @@ class no_grad:
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    # A finite sum rules out NaN and Inf in one pass with no temporary; a
+    # non-finite one may be an overflow of finite values, so scan then.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = data.sum()
+    if not np.isfinite(total) and not np.all(np.isfinite(data)):
         raise NumericError(f"{op}: non-finite values in output")
 
 
@@ -179,10 +195,21 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
+def _records(parents: tuple) -> bool:
+    """Whether an op on ``parents`` records its backward."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
+def _no_grad_branch(parents: tuple) -> bool:
+    """Whether an op takes its no-grad branch: it records no backward, and its
+    operands share one dtype (mixed ones promote as on the grad path)."""
+    return not _records(parents) and len({p.dtype for p in parents}) == 1
+
+
 def _make(data: np.ndarray, parents: tuple, backward, op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -327,6 +354,35 @@ def _col2im(cols: np.ndarray, x_shape, kh, kw, sh, sw, ph, pw) -> np.ndarray:
     return xp[:, :, ph : ph + h, pw : pw + w]
 
 
+def _conv_banded(x: np.ndarray, wmat: np.ndarray, kh, kw, sh, sw, ph, pw, ho, wo) -> np.ndarray:
+    """conv2d's output with no column matrix kept: [N, Cout, Ho, Wo].
+
+    Each band of output rows gets its columns in one reused buffer of
+    ``_COL_BUFFER_BYTES`` and is multiplied straight into its slice of the
+    output. One band is the grad path's matmul bit for bit; over several, the
+    BLAS may block each narrower GEMM differently, which moves the last bits.
+    """
+    n, c, h, w = x.shape
+    cout = wmat.shape[0]
+    if kh == kw == sh == sw == 1 and ph == pw == 0:
+        return np.matmul(wmat, x.reshape(n, c, h * w)).reshape(n, cout, ho, wo)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
+    k = c * kh * kw
+    band = max(1, min(ho, _COL_BUFFER_BYTES // (k * wo * x.itemsize)))
+    buf = np.empty(k * band * wo, dtype=x.dtype)
+    out = np.empty((n, cout, ho * wo), dtype=x.dtype)
+    for i in range(n):
+        for r0 in range(0, ho, band):
+            r = min(band, ho - r0)
+            cols = buf[: k * r * wo].reshape(c, kh, kw, r, wo)
+            for a in range(kh):
+                top = a + sh * r0
+                for j in range(kw):
+                    cols[:, a, j] = xp[i, :, top : top + sh * r : sh, j : j + sw * wo : sw]
+            np.matmul(wmat, cols.reshape(k, r * wo), out=out[i, :, r0 * wo : (r0 + r) * wo])
+    return out.reshape(n, cout, ho, wo)
+
+
 def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
     """2-D cross-correlation over NCHW input.
 
@@ -357,8 +413,15 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
         if b.shape != (cout,):
             raise ShapeError(f"conv2d: bias shape {b.shape} != ({cout},) (dim 0)")
 
-    cols, _ = _im2col(x.data, kh, kw, sh, sw, ph, pw)  # [N, Cin*kh*kw, Ho*Wo]
+    parents = (x, weight) if b is None else (x, weight, b)
     wmat = weight.data.reshape(cout, -1)
+    if _no_grad_branch(parents):
+        out_data = _conv_banded(x.data, wmat, kh, kw, sh, sw, ph, pw, ho, wo)
+        if b is not None:
+            out_data += b.data.reshape(1, cout, 1, 1)
+        return _make(out_data, parents, None, "conv2d")
+
+    cols, _ = _im2col(x.data, kh, kw, sh, sw, ph, pw)  # [N, Cin*kh*kw, Ho*Wo]
     out_data = np.matmul(wmat, cols).reshape(n, cout, ho, wo)
     if b is not None:
         out_data = out_data + b.data.reshape(1, cout, 1, 1)
@@ -374,7 +437,6 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
 
-    parents = (x, weight) if b is None else (x, weight, b)
     return _make(out_data, parents, backward, "conv2d")
 
 
@@ -415,6 +477,24 @@ def _pool_prepare(x: Tensor, window, stride, padding, fill: float):
     return xp, view, (wh, ww, sh, sw, ph, pw)
 
 
+def _fold(views: list, reduce) -> np.ndarray:
+    """``reduce`` over ``views`` left to right, into one fresh array."""
+    if len(views) == 1:
+        return views[0].copy()
+    acc = reduce(views[0], views[1])
+    for v in views[2:]:
+        reduce(acc, v, out=acc)
+    return acc
+
+
+def _pool_shifted(xp: np.ndarray, wh, ww, sh, sw, reduce) -> np.ndarray:
+    """Each window reduced over shifted strided views of ``xp``: along H, then W."""
+    ho = (xp.shape[2] - wh) // sh + 1
+    wo = (xp.shape[3] - ww) // sw + 1
+    rows = _fold([xp[:, :, a : a + sh * (ho - 1) + 1 : sh] for a in range(wh)], reduce)
+    return _fold([rows[:, :, :, j : j + sw * (wo - 1) + 1 : sw] for j in range(ww)], reduce)
+
+
 def maxpool2d(x, window, stride=None, padding=0) -> Tensor:
     x = _coerce(x)
     if x.ndim != 4:
@@ -422,6 +502,8 @@ def maxpool2d(x, window, stride=None, padding=0) -> Tensor:
     if stride is None:
         stride = window
     xp, view, (wh, ww, sh, sw, ph, pw) = _pool_prepare(x, window, stride, padding, -np.inf)
+    if _no_grad_branch((x,)):
+        return _make(_pool_shifted(xp, wh, ww, sh, sw, np.maximum), (x,), None, "maxpool2d")
     n, c, ho, wo = view.shape[:4]
     flat = view.reshape(n, c, ho, wo, wh * ww)
     idx = flat.argmax(axis=-1)
@@ -452,6 +534,10 @@ def avgpool2d(x, window, stride=None, padding=0) -> Tensor:
     if stride is None:
         stride = window
     xp, view, (wh, ww, sh, sw, ph, pw) = _pool_prepare(x, window, stride, padding, 0.0)
+    if _no_grad_branch((x,)):
+        out_data = _pool_shifted(xp, wh, ww, sh, sw, np.add)
+        out_data /= wh * ww
+        return _make(out_data, (x,), None, "avgpool2d")
     out_data = view.mean(axis=(-2, -1))
     n, c, ho, wo = out_data.shape
 
@@ -542,6 +628,12 @@ def batchnorm2d(
         v = running_var.astype(x.dtype)
 
     inv = 1.0 / np.sqrt(v + eps)
+    if mode == "eval" and _no_grad_branch((x, gamma, beta)):
+        out_data = x.data - m.reshape(1, c, 1, 1)
+        out_data *= inv.reshape(1, c, 1, 1)
+        out_data *= gamma.data.reshape(1, c, 1, 1)
+        out_data += beta.data.reshape(1, c, 1, 1)
+        return _make(out_data, (x, gamma, beta), None, "batchnorm2d")
     xhat = (x.data - m.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
     out_data = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
 

@@ -131,6 +131,9 @@ class EpochStats:
     tv_term: float
     val_mae: float
     lr: float
+    solves: int  # Sinkhorn solves of the epoch
+    unconverged: int  # of them, those stopped at the iteration cap
+    marginal_error_max: float
 
     def line(self) -> str:
         return (
@@ -151,14 +154,16 @@ class TrainResult:
 
 
 def _sample_loss(target: np.ndarray, pred: np.ndarray, cfg: TrainConfig):
-    """Per-crop loss value, components and gradient w.r.t. the raw prediction.
+    """Per-crop loss value, components, gradient w.r.t. the raw prediction
+    and the Sinkhorn solve's (iterations, converged, marginal error).
 
-    Empty ground truth degrades to the counting loss alone; an all-zero
-    prediction gets a uniform mass floor so transport stays defined.
+    Empty ground truth degrades to the counting loss alone, with no solve
+    (None); an all-zero prediction gets a uniform mass floor so transport
+    stays defined.
     """
     if target.sum() <= 0:
         value, grad = L.counting_loss(target, pred)
-        return value, (value, 0.0, 0.0), grad
+        return value, (value, 0.0, 0.0), grad, None
     eps = cfg.ot_epsilon if cfg.ot_epsilon > 0 else None
     res = L.dm_count_loss(
         target,
@@ -168,7 +173,8 @@ def _sample_loss(target: np.ndarray, pred: np.ndarray, cfg: TrainConfig):
         epsilon=eps,
         max_iters=cfg.sinkhorn_iters,
     )
-    return res.total, (res.count_term, res.ot_term, res.tv_term), res.grad
+    solve = (res.iterations, res.converged, res.marginal_error)
+    return res.total, (res.count_term, res.ot_term, res.tv_term), res.grad, solve
 
 
 def train(config: TrainConfig) -> TrainResult:
@@ -211,6 +217,7 @@ def train(config: TrainConfig) -> TrainResult:
         order = rng.permutation(len(normalized))
         sums = np.zeros(4)  # loss, l_c, l_ot, l_tv
         n_samples = 0
+        solves = []  # (iterations, converged, marginal error) of each solve
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
             samples = [random_crop_padded(normalized[i], hc, wc, rng) for i in idx]
@@ -219,7 +226,7 @@ def train(config: TrainConfig) -> TrainResult:
             out = run.output.data  # [B, 1, h', w']
             seed_grad = np.zeros_like(out)
             for i, s in enumerate(samples):
-                value, (lc, lot, ltv), grad = _sample_loss(
+                value, (lc, lot, ltv), grad, solve = _sample_loss(
                     s.target.values.astype(np.float64), out[i, 0].astype(np.float64), config
                 )
                 if not np.isfinite(value):
@@ -227,6 +234,8 @@ def train(config: TrainConfig) -> TrainResult:
                         f"training loss diverged at epoch {epoch} (sample {s.source_id}); "
                         f"last good checkpoint retained at {ckpt_path}"
                     )
+                if solve is not None:
+                    solves.append(solve)
                 seed_grad[i, 0] = grad / len(samples)
                 sums += (value, lc, lot, ltv)
                 n_samples += 1
@@ -242,6 +251,9 @@ def train(config: TrainConfig) -> TrainResult:
             tv_term=sums[3] / n_samples,
             val_mae=val_mae,
             lr=epoch_lr,
+            solves=len(solves),
+            unconverged=sum(not converged for _, converged, _ in solves),
+            marginal_error_max=max((err for *_, err in solves), default=0.0),
         )
         history.append(stats)
         log_lines.append(stats.line())
@@ -286,12 +298,15 @@ class EvalResult:
     records: list[tuple[str, float, float]]  # (id, true count, predicted count)
     mae: float
     rmse: float
-    seconds_per_image: float
+    seconds_per_image: float  # mean
+    seconds_median: float
+    seconds_max: float
 
     def line(self) -> str:
         return (
             f"n={len(self.records)} mae={self.mae:.4f} rmse={self.rmse:.4f} "
-            f"sec_per_image={self.seconds_per_image:.3f}"
+            f"sec_per_image={self.seconds_per_image:.3f} "
+            f"sec_median={self.seconds_median:.3f} sec_max={self.seconds_max:.3f}"
         )
 
 
@@ -309,17 +324,24 @@ def evaluate(graph: M.GraphDescription, params: dict, data_dir) -> EvalResult:
     """Whole-image evaluation: predicted count is the sum of the output map."""
     images = D.load_dataset(data_dir)
     records = []
-    elapsed = 0.0
+    seconds = []
     for ann in images:
         x = D.normalize(ann.image)
         t0 = time.perf_counter()
         pred = M.predict_density(graph, params, x)
-        elapsed += time.perf_counter() - t0
+        seconds.append(time.perf_counter() - t0)
         records.append((ann.id, float(len(ann.points)), float(pred.sum())))
     z = np.array([r[1] for r in records])
     zhat = np.array([r[2] for r in records])
     mae, rmse = aggregate_metrics(z, zhat)
-    return EvalResult(records=records, mae=mae, rmse=rmse, seconds_per_image=elapsed / len(records))
+    return EvalResult(
+        records=records,
+        mae=mae,
+        rmse=rmse,
+        seconds_per_image=sum(seconds) / len(seconds),
+        seconds_median=float(np.median(seconds)),
+        seconds_max=max(seconds),
+    )
 
 
 def load_model(checkpoint_path, graph_path=None):

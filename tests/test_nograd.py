@@ -1,0 +1,198 @@
+"""The no-grad branch of conv2d, pooling and eval batch norm against the grad path.
+
+An op records no backward when grad is disabled or no operand requires grad;
+it then keeps nothing for the reverse sweep. Each test runs the op both ways
+on the same data. Conv, max pooling and batch norm match bit for bit when
+the conv's output fits one band of the column buffer, which is one GEMM of
+the grad path's shape. Over several bands each band is its own GEMM, and the
+BLAS may block a narrower GEMM differently, so there the conv is held to the
+float32 and float64 tolerances fixed for inference (1e-5 and 1e-12 of the
+output's largest magnitude). Average pooling sums in another order: 1e-6 of
+the input's largest magnitude.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from icc import tensor as T
+from icc.errors import NumericError
+
+DTYPES = (np.float32, np.float64)
+
+
+def both_paths(op, arrays, **kw):
+    """(no-grad output, grad-path output) of ``op`` on Tensors of ``arrays``."""
+    with T.no_grad():
+        fast = op(*[T.Tensor(a, requires_grad=True) for a in arrays], **kw)
+    slow = op(*[T.Tensor(a, requires_grad=True) for a in arrays], **kw)
+    assert slow._parents and slow._backward is not None
+    return fast, slow
+
+
+def assert_unrecorded(t: T.Tensor):
+    assert t._parents == () and t._backward is None and not t.requires_grad
+
+
+def conv_case(rng, dtype, k, bias, cin=5, cout=7, h=13, w=11):
+    arrays = [rng.standard_normal((2, cin, h, w)), rng.standard_normal((cout, cin) + k)]
+    if bias:
+        arrays.append(rng.standard_normal(cout))
+    return [a.astype(dtype) for a in arrays]
+
+
+def conv(x, w, b=None, **kw):
+    return T.conv2d(x, w, bias=b, **kw)
+
+
+class TestConv2d:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("padding", [(0, 0), (1, 2)])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (1, 2)])
+    @pytest.mark.parametrize("k", [(1, 1), (3, 3), (3, 1)])
+    def test_one_band_is_bit_identical(self, k, stride, padding, bias, dtype):
+        arrays = conv_case(np.random.default_rng(3), dtype, k, bias)
+        fast, slow = both_paths(conv, arrays, stride=stride, padding=padding)
+        assert_unrecorded(fast)
+        assert fast.dtype == slow.dtype == dtype
+        np.testing.assert_array_equal(fast.data, slow.data)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("k, stride", [
+        ((3, 3), (1, 1)), ((3, 3), (2, 2)), ((3, 3), (1, 2)),
+        # a 1x1 stride-1 conv is a single matmul, with no bands
+        ((1, 1), (2, 2)), ((1, 1), (1, 2)),
+    ])
+    def test_bands_match_grad_path(self, k, stride, dtype, monkeypatch):
+        arrays = conv_case(np.random.default_rng(4), dtype, k, True, cin=6, h=29, w=17)
+        padding = (k[0] // 2, k[1] // 2)
+        _, slow = both_paths(conv, arrays, stride=stride, padding=padding)
+        ho, wo = slow.shape[2:]
+        # two output rows per band: a call crosses 3 or more band boundaries
+        row_bytes = 6 * k[0] * k[1] * wo * np.dtype(dtype).itemsize
+        monkeypatch.setattr(T, "_COL_BUFFER_BYTES", 2 * row_bytes)
+        assert -(-ho // 2) - 1 >= 3
+        fast, _ = both_paths(conv, arrays, stride=stride, padding=padding)
+        assert_unrecorded(fast)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        scale = np.abs(slow.data).max()
+        assert np.abs(fast.data - slow.data).max() <= tol * scale
+
+    def test_grad_enabled_without_grad_operands_records_nothing(self):
+        x, w = conv_case(np.random.default_rng(5), np.float32, (3, 3), False)
+        out = T.conv2d(T.Tensor(x), T.Tensor(w), padding=1)
+        assert_unrecorded(out)
+        rec = T.conv2d(T.Tensor(x), T.Tensor(w, requires_grad=True), padding=1)
+        np.testing.assert_array_equal(out.data, rec.data)
+        assert rec._backward is not None
+
+
+def test_mixed_dtypes_promote_as_on_the_grad_path():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((1, 2, 6, 5)).astype(np.float32)
+    w = rng.standard_normal((3, 2, 3, 3))
+    fast, slow = both_paths(conv, [x, w], padding=1)
+    assert fast.dtype == slow.dtype == np.float64
+    np.testing.assert_array_equal(fast.data, slow.data)
+    g = 0.5 + rng.random(2)
+
+    def bn(x, g, b):
+        return T.batchnorm2d(x, g, b, np.zeros(2), np.ones(2), mode="eval")
+
+    fast, slow = both_paths(bn, [x, g, g])
+    assert fast.dtype == slow.dtype == np.float64
+    np.testing.assert_array_equal(fast.data, slow.data)
+
+
+POOL_CASES = [
+    ((2, 2), (2, 2), (0, 0)),  # VGG
+    ((3, 3), (2, 2), (1, 1)),
+    ((3, 3), (1, 1), (1, 1)),
+    ((2, 3), (1, 2), (1, 1)),
+    ((5, 1), (3, 1), (2, 0)),
+]
+
+
+class TestPooling:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("window, stride, padding", POOL_CASES)
+    def test_maxpool_is_bit_identical(self, window, stride, padding, dtype):
+        x = np.random.default_rng(6).standard_normal((2, 3, 14, 11)).astype(dtype)
+        fast, slow = both_paths(T.maxpool2d, [x], window=window, stride=stride, padding=padding)
+        assert_unrecorded(fast)
+        assert fast.dtype == slow.dtype
+        np.testing.assert_array_equal(fast.data, slow.data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # up to 3x3: the worst-case float32 rounding of a 9-term sum, taken in
+        # two orders, stays under the 1e-6 bound
+        wh=st.integers(1, 3), ww=st.integers(1, 3),
+        sh=st.integers(1, 3), sw=st.integers(1, 3),
+        ph=st.integers(0, 2), pw=st.integers(0, 2),
+        h=st.integers(4, 12), w=st.integers(4, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_avgpool_within_tolerance(self, wh, ww, sh, sw, ph, pw, h, w, seed):
+        x = np.random.default_rng(seed).standard_normal((2, 2, h, w)).astype(np.float32)
+        fast, slow = both_paths(
+            T.avgpool2d, [x], window=(wh, ww), stride=(sh, sw), padding=(ph, pw)
+        )
+        assert_unrecorded(fast)
+        assert fast.shape == slow.shape and fast.dtype == slow.dtype
+        assert np.abs(fast.data - slow.data).max() <= 1e-6 * np.abs(x).max()
+
+
+class TestBatchNorm:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_eval_is_bit_identical(self, dtype):
+        rng = np.random.default_rng(8)
+        c = 6
+        x = rng.standard_normal((2, c, 9, 7)).astype(dtype)
+        gamma = (0.5 + rng.random(c)).astype(dtype)
+        beta = rng.standard_normal(c).astype(dtype)
+        mean = rng.standard_normal(c).astype(dtype)
+        var = (0.2 + rng.random(c)).astype(dtype)
+
+        def bn(x, g, b):
+            return T.batchnorm2d(x, g, b, mean, var, mode="eval")
+
+        fast, slow = both_paths(bn, [x, gamma, beta])
+        assert_unrecorded(fast)
+        assert fast.dtype == slow.dtype == dtype
+        np.testing.assert_array_equal(fast.data, slow.data)
+
+
+class TestFiniteCheck:
+    def test_overflowing_sum_of_finite_values_passes(self):
+        big = np.array([3e38, 3e38], dtype=np.float32)
+        T._check_finite(big, "op")
+        x = big.reshape(1, 1, 1, 2)
+        for grad in (False, True):
+            out = T.maxpool2d(T.Tensor(x, requires_grad=grad), 1)
+            np.testing.assert_array_equal(out.data, x)
+
+    OPS = {
+        "conv2d": lambda x, grad: T.conv2d(
+            x, T.Tensor(np.ones((2, 3, 3, 3), np.float32), requires_grad=grad), padding=1),
+        # a 1x1 window, so that a -inf is not dropped by the max over its window
+        "maxpool2d": lambda x, grad: T.maxpool2d(x, 1),
+        "avgpool2d": lambda x, grad: T.avgpool2d(x, 3, stride=1, padding=1),
+        "batchnorm2d": lambda x, grad: T.batchnorm2d(
+            x, T.Tensor(np.ones(3, np.float32), requires_grad=grad),
+            T.Tensor(np.zeros(3, np.float32), requires_grad=grad),
+            np.zeros(3, np.float32), np.ones(3, np.float32), mode="eval"),
+    }
+
+    @pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @settings(max_examples=10, deadline=None)
+    @given(position=st.integers(0, 2 * 3 * 5 * 6 - 1))
+    def test_non_finite_raises_naming_the_op(self, op, value, grad, position):
+        x = np.random.default_rng(position).standard_normal((2, 3, 5, 6)).astype(np.float32)
+        x.reshape(-1)[position] = value
+        with pytest.raises(NumericError, match=f"^{op}: "):
+            self.OPS[op](T.Tensor(x, requires_grad=grad), grad)

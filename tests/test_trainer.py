@@ -31,15 +31,19 @@ def tiny_dirs(tmp_path_factory):
 GRAPH_HEAD = "ICCGRAPH 1\nablation none\ntap output input\nlayer input kind=input channels=3\n"
 
 
-def run_infer_process(ckpt, graph, image, output):
-    """``icc infer`` in a separate process, so that an uncaught exception
+def run_cli_process(*args):
+    """``icc <args>`` in a separate process, so that an uncaught exception
     shows as exit 1 and a traceback on stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(icc.__file__).resolve().parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "icc.cli", "infer", "--checkpoint", str(ckpt),
-         "--graph", str(graph), "--image", str(image), "--output", str(output)],
+        [sys.executable, "-m", "icc.cli", *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_infer_process(ckpt, graph, image, output):
+    return run_cli_process("infer", "--checkpoint", ckpt, "--graph", graph,
+                           "--image", image, "--output", output)
 
 
 def tiny_config(tiny_dirs, out, **kw):
@@ -170,6 +174,19 @@ class TestTrainLoop:
         saved = load_checkpoint(result.checkpoint_path)
         assert {a.dtype for a in saved.values()} == {np.dtype(np.float64)}
 
+    def test_unconverged_solves_are_reported(self, tiny_dirs, tmp_path):
+        result = TR.train(tiny_config(tiny_dirs, tmp_path / "iters1", width_scale=0.25,
+                                      sinkhorn_iters=1))
+        stats = result.history[0]
+        # every crop of the tiny set holds heads, so each sample is one solve
+        assert stats.solves == 6
+        assert 0 < stats.unconverged <= stats.solves
+        assert stats.marginal_error_max > 0
+        log = result.log_path.read_text(encoding="utf-8").strip()
+        assert log == stats.line()
+        assert [kv.split("=")[0] for kv in log.split()] == [
+            "epoch", "loss", "l_c", "l_ot", "l_tv", "val_mae", "lr"]
+
     def test_lr_decays_per_epoch(self, tiny_dirs, tmp_path):
         cfg = tiny_config(tiny_dirs, tmp_path / "run4", epochs=3, lr_gamma=0.5)
         result = TR.train(cfg)
@@ -192,6 +209,15 @@ class TestEvaluateAndInfer:
         assert a.records == b.records
         assert a.mae == b.mae and a.rmse == b.rmse
         assert a.mae <= a.rmse
+
+    def test_latency_percentiles(self, trained, tiny_dirs):
+        graph, params = trained
+        res = TR.evaluate(graph, params, tiny_dirs / "val")
+        assert len(res.records) == 3
+        assert 0 < res.seconds_median <= res.seconds_max
+        assert res.seconds_per_image <= res.seconds_max
+        assert [kv.split("=")[0] for kv in res.line().split()] == [
+            "n", "mae", "rmse", "sec_per_image", "sec_median", "sec_max"]
 
     def test_aggregates_recomputable_from_records(self, trained, tiny_dirs):
         graph, params = trained
@@ -325,6 +351,24 @@ class TestCLI:
         assert "Traceback" not in proc.stderr
         assert reason in proc.stderr
 
+    @pytest.mark.parametrize("args, message", [
+        (["flops", "--height", "0"],
+         "a 0x1920 input (padded to 0x1920) does not fit: stem.conv1.conv"),
+        (["flops", "--height", "-5"],
+         "a -5x1920 input (padded to 0x1920) does not fit: stem.conv1.conv"),
+        (["flops", "--height", "16", "--width", "16"],
+         "a 16x16 input (padded to 32x32) does not fit: context.s6.pool"),
+        (["synth", "--count-min", "10", "--count-max", "5"], "invalid count range 10..5"),
+        (["synth", "--height", "0"], "image size 0x256 is below the 8x8 minimum"),
+    ], ids=["flops-0", "flops-negative", "flops-16x16", "synth-range", "synth-size"])
+    def test_bad_size_or_range_exit_code(self, tmp_path, args, message):
+        if args[0] == "synth":
+            args = args + ["--out-dir", tmp_path / "synth"]
+        proc = run_cli_process(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+
     MISMATCHES = {
         "wider-checkpoint": "misshapen: stem.conv1.conv.w (16, 3, 3, 3) (graph: (8, 3, 3, 3))",
         "missing-weight": "1 missing: decoder.conv1.w",
@@ -385,7 +429,7 @@ class TestDivergenceHandling:
         def poisoned(target, pred, cfg):
             calls["n"] += 1
             if calls["n"] > 8:  # after the first epoch's six samples
-                return float("nan"), (0.0, 0.0, 0.0), np.zeros_like(pred)
+                return float("nan"), (0.0, 0.0, 0.0), np.zeros_like(pred), None
             return real(target, pred, cfg)
 
         monkeypatch.setattr(TR, "_sample_loss", poisoned)
