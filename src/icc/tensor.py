@@ -12,15 +12,16 @@ Tensor beside it.
 Every forward op validates that its output is finite; NaN/Inf raises
 NumericError immediately instead of propagating silently.
 
-When an op will record no backward (grad is disabled, or no operand requires
-grad) and its operands share one dtype, conv2d, maxpool2d, avgpool2d and
-eval-mode batchnorm2d take a branch that keeps nothing for the reverse sweep:
-conv2d fills a fixed-size column buffer one band of output rows at a time (a
-1x1 stride-1 unpadded conv is a single matmul), pooling reduces shifted
-strided views of the padded input, and batch norm works in place on one
-fresh buffer. They give the grad path's outputs bit for bit, except avgpool,
-whose sums run in another order, and a conv over several bands, whose
-narrower GEMMs the BLAS may round differently.
+Each op has one forward, which runs whether or not grad is recorded;
+conv2d alone has a second. When it will record no backward (grad is
+disabled, or no operand requires grad) and its operands share one dtype, it
+fills a fixed-size column buffer one band of output rows at a time (a 1x1
+stride-1 unpadded conv is a single matmul) and keeps nothing for the reverse
+sweep. One band gives the grad path's output bit for bit; over several, the
+BLAS may round the narrower GEMMs differently. Pooling reduces shifted
+strided views of the padded input, and its backward adds into the same
+views. Bilinear and nearest resizing and adaptive average pooling are
+separable linear maps, Rh·x·Rwᵀ, with the adjoint Rhᵀ·g·Rw as backward.
 """
 
 from __future__ import annotations
@@ -461,20 +462,23 @@ def separable_conv2d(x, kernel_v, kernel_h, stride=1, padding=(0, 0), bias=None)
 
 
 def _pool_prepare(x: Tensor, window, stride, padding, fill: float):
+    """The input padded with ``fill`` (the input itself when unpadded) and the geometry."""
     n, c, h, w = x.shape
     wh, ww = _as_pair(window, "window")
     sh, sw = _as_pair(stride, "stride")
     ph, pw = _as_pair(padding, "padding")
     if wh < 1 or ww < 1:
         raise ShapeError(f"pool: empty window {(wh, ww)}")
+    if sh < 1 or sw < 1:
+        raise ShapeError(f"pool: stride must be positive, got {(sh, sw)}")
     if wh > h + 2 * ph or ww > w + 2 * pw:
         raise ShapeError(
             f"pool: window {(wh, ww)} exceeds padded extent {(h + 2 * ph, w + 2 * pw)}"
         )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
-    view = np.lib.stride_tricks.sliding_window_view(xp, (wh, ww), axis=(2, 3))
-    view = view[:, :, ::sh, ::sw]  # [N, C, Ho, Wo, wh, ww]
-    return xp, view, (wh, ww, sh, sw, ph, pw)
+    xp = x.data
+    if ph or pw:
+        xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
+    return xp, (wh, ww, sh, sw, ph, pw)
 
 
 def _fold(views: list, reduce) -> np.ndarray:
@@ -495,32 +499,40 @@ def _pool_shifted(xp: np.ndarray, wh, ww, sh, sw, reduce) -> np.ndarray:
     return _fold([rows[:, :, :, j : j + sw * (wo - 1) + 1 : sw] for j in range(ww)], reduce)
 
 
+def _window_views(a: np.ndarray, wh, ww, sh, sw, ho, wo) -> list:
+    """The strided view of ``a`` at each window offset, in row-major offset order."""
+    return [
+        a[:, :, i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw]
+        for i in range(wh)
+        for j in range(ww)
+    ]
+
+
 def maxpool2d(x, window, stride=None, padding=0) -> Tensor:
     x = _coerce(x)
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d: input must be 4-D NCHW, got {x.ndim}-D")
     if stride is None:
         stride = window
-    xp, view, (wh, ww, sh, sw, ph, pw) = _pool_prepare(x, window, stride, padding, -np.inf)
-    if _no_grad_branch((x,)):
-        return _make(_pool_shifted(xp, wh, ww, sh, sw, np.maximum), (x,), None, "maxpool2d")
-    n, c, ho, wo = view.shape[:4]
-    flat = view.reshape(n, c, ho, wo, wh * ww)
-    idx = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    xp, (wh, ww, sh, sw, ph, pw) = _pool_prepare(x, window, stride, padding, -np.inf)
+    out_data = _pool_shifted(xp, wh, ww, sh, sw, np.maximum)
 
     def backward(g):
         if not x.requires_grad:
             return
-        hp, wp = xp.shape[2], xp.shape[3]
-        roff, coff = idx // ww, idx % ww
-        pr = (np.arange(ho) * sh)[None, None, :, None] + roff
-        pc = (np.arange(wo) * sw)[None, None, None, :] + coff
-        gp = np.zeros((n, c, hp * wp), dtype=g.dtype)
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        np.add.at(gp, (ni, ci, pr * wp + pc), g)
-        gp = gp.reshape(n, c, hp, wp)
+        geometry = (wh, ww, sh, sw) + out_data.shape[2:]
+        # The gradient goes to each window's first maximum in row-major order.
+        taken = np.zeros(out_data.shape, bool)
+        firsts = []
+        for view in _window_views(xp, *geometry):
+            first = (view == out_data) & ~taken
+            taken |= first
+            firsts.append(first)
+        # Offsets run last to first, so that an input shared by several
+        # windows sums their gradients in the windows' row-major order.
+        gp = np.zeros(xp.shape, g.dtype)
+        for view, first in reversed(list(zip(_window_views(gp, *geometry), firsts))):
+            view += g * first
         _accumulate(x, gp[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]])
 
     return _make(out_data, (x,), backward, "maxpool2d")
@@ -533,57 +545,28 @@ def avgpool2d(x, window, stride=None, padding=0) -> Tensor:
         raise ShapeError(f"avgpool2d: input must be 4-D NCHW, got {x.ndim}-D")
     if stride is None:
         stride = window
-    xp, view, (wh, ww, sh, sw, ph, pw) = _pool_prepare(x, window, stride, padding, 0.0)
-    if _no_grad_branch((x,)):
-        out_data = _pool_shifted(xp, wh, ww, sh, sw, np.add)
-        out_data /= wh * ww
-        return _make(out_data, (x,), None, "avgpool2d")
-    out_data = view.mean(axis=(-2, -1))
-    n, c, ho, wo = out_data.shape
+    xp, (wh, ww, sh, sw, ph, pw) = _pool_prepare(x, window, stride, padding, 0.0)
+    out_data = _pool_shifted(xp, wh, ww, sh, sw, np.add)
+    out_data /= wh * ww
 
     def backward(g):
         if not x.requires_grad:
             return
-        gcols = np.broadcast_to(
-            (g / (wh * ww))[:, :, :, :, None], (n, c, ho, wo, wh * ww)
-        )
-        gcols = gcols.transpose(0, 1, 4, 2, 3).reshape(n, c * wh * ww, ho * wo)
-        _accumulate(x, _col2im(gcols, x.data.shape, wh, ww, sh, sw, ph, pw))
+        gp = np.zeros(xp.shape, g.dtype)
+        share = g / (wh * ww)
+        for view in _window_views(gp, wh, ww, sh, sw, *g.shape[2:]):
+            view += share
+        _accumulate(x, gp[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]])
 
     return _make(out_data, (x,), backward, "avgpool2d")
 
 
-def adaptive_avgpool2d(x, out_h: int, out_w: int) -> Tensor:
-    """Average pooling onto an out_h x out_w grid with near-equal bins."""
-    x = _coerce(x)
-    if x.ndim != 4:
-        raise ShapeError(f"adaptive_avgpool2d: input must be 4-D NCHW, got {x.ndim}-D")
-    n, c, h, w = x.shape
-    if out_h < 1 or out_w < 1 or out_h > h or out_w > w:
-        raise ShapeError(
-            f"adaptive_avgpool2d: target {(out_h, out_w)} invalid for input {(h, w)}"
-        )
-    rb = [(int(np.floor(i * h / out_h)), int(np.ceil((i + 1) * h / out_h))) for i in range(out_h)]
-    cb = [(int(np.floor(j * w / out_w)), int(np.ceil((j + 1) * w / out_w))) for j in range(out_w)]
-    out_data = np.empty((n, c, out_h, out_w), dtype=x.dtype)
-    for i, (r0, r1) in enumerate(rb):
-        for j, (c0, c1) in enumerate(cb):
-            out_data[:, :, i, j] = x.data[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
-
-    def backward(g):
-        if not x.requires_grad:
-            return
-        gx = np.zeros_like(x.data)
-        for i, (r0, r1) in enumerate(rb):
-            for j, (c0, c1) in enumerate(cb):
-                area = (r1 - r0) * (c1 - c0)
-                gx[:, :, r0:r1, c0:c1] += g[:, :, i : i + 1, j : j + 1] / area
-        _accumulate(x, gx)
-
-    return _make(out_data, (x,), backward, "adaptive_avgpool2d")
-
-
 # -- batch normalization ----------------------------------------------------
+
+
+def _into(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``ufunc(a, b)``, written over ``a`` unless numpy promotes to a wider dtype."""
+    return ufunc(a, b, out=a if np.result_type(a, b) == a.dtype else None)
 
 
 def batchnorm2d(
@@ -627,53 +610,97 @@ def batchnorm2d(
         m = running_mean.astype(x.dtype)
         v = running_var.astype(x.dtype)
 
-    inv = 1.0 / np.sqrt(v + eps)
-    if mode == "eval" and _no_grad_branch((x, gamma, beta)):
-        out_data = x.data - m.reshape(1, c, 1, 1)
-        out_data *= inv.reshape(1, c, 1, 1)
-        out_data *= gamma.data.reshape(1, c, 1, 1)
-        out_data += beta.data.reshape(1, c, 1, 1)
-        return _make(out_data, (x, gamma, beta), None, "batchnorm2d")
-    xhat = (x.data - m.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-    out_data = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+    m = m.reshape(1, c, 1, 1)
+    inv = (1.0 / np.sqrt(v + eps)).reshape(1, c, 1, 1)
+    scale = gamma.data.reshape(1, c, 1, 1)
+    out_data = x.data - m
+    out_data *= inv
+    out_data = _into(np.multiply, out_data, scale)
+    out_data = _into(np.add, out_data, beta.data.reshape(1, c, 1, 1))
 
     def backward(g):
+        # the normalized input is recomputed here rather than kept
+        if gamma.requires_grad or (mode == "train" and x.requires_grad):
+            xhat = (x.data - m) * inv
         if gamma.requires_grad:
             _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
         if beta.requires_grad:
             _accumulate(beta, g.sum(axis=(0, 2, 3)))
         if not x.requires_grad:
             return
-        gscaled = g * gamma.data.reshape(1, c, 1, 1)
+        gscaled = g * scale
         if mode == "eval":
-            _accumulate(x, gscaled * inv.reshape(1, c, 1, 1))
+            _accumulate(x, gscaled * inv)
             return
         mean_g = gscaled.mean(axis=(0, 2, 3), keepdims=True)
         mean_gx = (gscaled * xhat).mean(axis=(0, 2, 3), keepdims=True)
-        _accumulate(x, inv.reshape(1, c, 1, 1) * (gscaled - mean_g - xhat * mean_gx))
+        _accumulate(x, inv * (gscaled - mean_g - xhat * mean_gx))
 
     return _make(out_data, (x, gamma, beta), backward, "batchnorm2d")
 
 
 # -- resampling -------------------------------------------------------------
+#
+# Bilinear and nearest resizing and adaptive average pooling are each one
+# linear map per spatial axis, an [out, in] matrix R: the output is
+# Rh·x·Rwᵀ and the backward its adjoint, Rhᵀ·g·Rw.
 
 
-def _bilinear_axis(in_extent: int, out_extent: int, dtype):
-    """Source indices and blend weights for one axis, align_corners=False."""
-    src = (np.arange(out_extent, dtype=np.float64) + 0.5) * in_extent / out_extent - 0.5
-    src = np.clip(src, 0.0, in_extent - 1)
+def _bilinear_axis(n_in: int, n_out: int, dtype) -> np.ndarray:
+    """Blend weights of align_corners=False bilinear resizing along one axis."""
+    src = (np.arange(n_out, dtype=np.float64) + 0.5) * n_in / n_out - 0.5
+    src = np.clip(src, 0.0, n_in - 1)
     i0 = np.floor(src).astype(np.int64)
-    i1 = np.minimum(i0 + 1, in_extent - 1)
     frac = (src - i0).astype(dtype)
-    return i0, i1, frac
+    rows = np.arange(n_out)
+    r = np.zeros((n_out, n_in), dtype)
+    r[rows, i0] = 1.0 - frac
+    r[rows, np.minimum(i0 + 1, n_in - 1)] += frac
+    return r
 
 
-def _nearest_axis(in_extent: int, out_extent: int):
-    idx = np.minimum(
-        (np.arange(out_extent, dtype=np.float64) * in_extent / out_extent).astype(np.int64),
-        in_extent - 1,
-    )
-    return idx
+def _nearest_axis(n_in: int, n_out: int, dtype) -> np.ndarray:
+    """One-hot rows: output o takes input floor(o * n_in / n_out)."""
+    r = np.zeros((n_out, n_in), dtype)
+    r[np.arange(n_out), np.arange(n_out) * n_in // n_out] = 1.0
+    return r
+
+
+def _adaptive_axis(n_in: int, n_out: int, dtype) -> np.ndarray:
+    """Row o averages the inputs in [floor(o n_in / n_out), ceil((o + 1) n_in / n_out))."""
+    o = np.arange(n_out)[:, None]
+    lo, hi = o * n_in // n_out, -(-(o + 1) * n_in // n_out)
+    cols = np.arange(n_in)
+    return (((cols >= lo) & (cols < hi)) / (hi - lo)).astype(dtype)
+
+
+def _separable(rh: np.ndarray, rw: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """rh·a·rwᵀ over the two trailing axes of a 4-D array: along H, then W."""
+    along_h = np.matmul(rh, a)
+    n, c, oh, w = along_h.shape
+    return np.matmul(along_h.reshape(n * c * oh, w), rw.T).reshape(n, c, oh, rw.shape[0])
+
+
+def _resample(x: Tensor, rh: np.ndarray, rw: np.ndarray, op: str) -> Tensor:
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, _separable(rh.T, rw.T, g))
+
+    return _make(_separable(rh, rw, x.data), (x,), backward, op)
+
+
+def adaptive_avgpool2d(x, out_h: int, out_w: int) -> Tensor:
+    """Average pooling onto an out_h x out_w grid with near-equal bins."""
+    x = _coerce(x)
+    if x.ndim != 4:
+        raise ShapeError(f"adaptive_avgpool2d: input must be 4-D NCHW, got {x.ndim}-D")
+    h, w = x.shape[2:]
+    if out_h < 1 or out_w < 1 or out_h > h or out_w > w:
+        raise ShapeError(
+            f"adaptive_avgpool2d: target {(out_h, out_w)} invalid for input {(h, w)}"
+        )
+    rh, rw = _adaptive_axis(h, out_h, x.dtype), _adaptive_axis(w, out_w, x.dtype)
+    return _resample(x, rh, rw, "adaptive_avgpool2d")
 
 
 def interpolate(x, out_h: int, out_w: int, method: str = "bilinear") -> Tensor:
@@ -683,51 +710,11 @@ def interpolate(x, out_h: int, out_w: int, method: str = "bilinear") -> Tensor:
         raise ShapeError(f"interpolate: input must be 4-D NCHW, got {x.ndim}-D")
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"interpolate: target size {(out_h, out_w)} must be positive")
-    n, c, h, w = x.shape
-    if method == "nearest":
-        ri = _nearest_axis(h, out_h)
-        ci = _nearest_axis(w, out_w)
-        out_data = x.data[:, :, ri][:, :, :, ci]
-
-        def backward(g):
-            if not x.requires_grad:
-                return
-            gr = np.zeros((h, n, c, out_w), dtype=g.dtype)
-            np.add.at(gr, ri, g.transpose(2, 0, 1, 3))
-            gx = np.zeros((w, n, c, h), dtype=g.dtype)
-            np.add.at(gx, ci, gr.transpose(3, 1, 2, 0))
-            _accumulate(x, gx.transpose(1, 2, 3, 0))
-
-        return _make(out_data, (x,), backward, "interpolate")
-
-    if method != "bilinear":
+    if method not in ("bilinear", "nearest"):
         raise ValueError(f"interpolate: unknown method {method!r}")
-
-    r0, r1, fr = _bilinear_axis(h, out_h, x.dtype)
-    c0, c1, fc = _bilinear_axis(w, out_w, x.dtype)
-    rows = x.data[:, :, r0, :] * (1.0 - fr)[None, None, :, None] + x.data[:, :, r1, :] * fr[
-        None, None, :, None
-    ]
-    out_data = rows[:, :, :, c0] * (1.0 - fc)[None, None, None, :] + rows[:, :, :, c1] * fc[
-        None, None, None, :
-    ]
-
-    def backward(g):
-        if not x.requires_grad:
-            return
-        # adjoint of the column blend: scatter into the row-resized array
-        grows = np.zeros((w, n, c, out_h), dtype=g.dtype)
-        gt = g.transpose(3, 0, 1, 2)
-        np.add.at(grows, c0, gt * (1.0 - fc)[:, None, None, None])
-        np.add.at(grows, c1, gt * fc[:, None, None, None])
-        # adjoint of the row blend: scatter into the source array
-        gx = np.zeros((h, n, c, w), dtype=g.dtype)
-        gt2 = grows.transpose(3, 1, 2, 0)  # [out_h, N, C, W]
-        np.add.at(gx, r0, gt2 * (1.0 - fr)[:, None, None, None])
-        np.add.at(gx, r1, gt2 * fr[:, None, None, None])
-        _accumulate(x, gx.transpose(1, 2, 0, 3))
-
-    return _make(out_data, (x,), backward, "interpolate")
+    axis = _bilinear_axis if method == "bilinear" else _nearest_axis
+    h, w = x.shape[2:]
+    return _resample(x, axis(h, out_h, x.dtype), axis(w, out_w, x.dtype), "interpolate")
 
 
 def upsample(x, factor: int, method: str = "bilinear") -> Tensor:

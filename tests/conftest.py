@@ -5,6 +5,8 @@ never call into the library's fast paths; they are the oracles the fast paths
 are checked against.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,49 @@ def pool_loop(x, window, stride, padding, op):
                 for j in range(wo):
                     win = xp[b, ci, i * sh : i * sh + wh, j * sw : j * sw + ww]
                     out[b, ci, i, j] = win.max() if op == "max" else win.mean()
+    return out
+
+
+def maxpool_grad_loop(x, g, window, stride, padding):
+    """Loop reference for the max-pool gradient: each window's upstream
+    gradient goes to the first of its maxima in row-major order."""
+    n, c, h, w = x.shape
+    wh, ww = window
+    sh, sw = stride
+    ph, pw = padding
+    xp = np.full((n, c, h + 2 * ph, w + 2 * pw), -np.inf)
+    xp[:, :, ph : ph + h, pw : pw + w] = x
+    gp = np.zeros_like(xp)
+    for b, ci, i, j in np.ndindex(*g.shape):
+        best = (i * sh, j * sw)
+        for u in range(i * sh, i * sh + wh):
+            for v in range(j * sw, j * sw + ww):
+                if xp[b, ci, u, v] > xp[(b, ci) + best]:
+                    best = (u, v)
+        gp[(b, ci) + best] += g[b, ci, i, j]
+    return gp[:, :, ph : ph + h, pw : pw + w]
+
+
+def adaptive_avgpool_loop(x, oh, ow):
+    """Loop reference: output (i, j) is the mean of input rows
+    floor(i*h/oh) .. ceil((i+1)*h/oh) - 1 and the columns found likewise."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, oh, ow), dtype=np.float64)
+    for i in range(oh):
+        r0, r1 = math.floor(i * h / oh), math.ceil((i + 1) * h / oh)
+        for j in range(ow):
+            c0, c1 = math.floor(j * w / ow), math.ceil((j + 1) * w / ow)
+            out[:, :, i, j] = x[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
+    return out
+
+
+def nearest_loop(x, oh, ow):
+    """Loop reference: output (i, j) copies input (floor(i*h/oh), floor(j*w/ow))."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, oh, ow), dtype=np.float64)
+    for i in range(oh):
+        for j in range(ow):
+            out[:, :, i, j] = x[:, :, math.floor(i * h / oh), math.floor(j * w / ow)]
     return out
 
 

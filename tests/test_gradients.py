@@ -8,7 +8,7 @@ fixed random projection of its output, on random tensors no larger than
 import numpy as np
 import pytest
 
-from conftest import check_op_gradients, numeric_gradient, rel_error
+from conftest import check_op_gradients, maxpool_grad_loop, numeric_gradient, rel_error
 from icc import tensor as T
 from icc.errors import ShapeError
 
@@ -58,6 +58,16 @@ class TestPoolGradients:
         base = np.arange(1 * 2 * 7 * 7, dtype=np.float64).reshape(1, 2, 7, 7)
         x = t(base * 0.37 + 1.0)
         check_op_gradients(lambda: T.maxpool2d(x, 3, 2, padding=1), [x])
+
+    def test_maxpool_ties_go_to_first_maximum(self):
+        # values from {0, 1, 2} repeat inside most of the overlapping windows
+        x = np.random.default_rng(46).integers(0, 3, (2, 3, 9, 8)).astype(np.float64)
+        xt = t(x)
+        out = T.maxpool2d(xt, 3, 2, padding=1)
+        g = np.random.default_rng(47).standard_normal(out.shape)
+        out.backward(g)
+        ref = maxpool_grad_loop(x, g, (3, 3), (2, 2), (1, 1))
+        assert np.abs(xt.grad - ref).max() <= 1e-12
 
     def test_avgpool(self):
         x = t(rand(2, 3, 8, 8, seed=12))
@@ -115,6 +125,10 @@ class TestResampleGradients:
     def test_nearest(self):
         x = t(rand(1, 2, 4, 4, seed=28))
         check_op_gradients(lambda: T.upsample(x, 3, "nearest"), [x])
+
+    def test_nearest_non_integer_ratio(self):
+        x = t(rand(1, 2, 5, 4, seed=48))
+        check_op_gradients(lambda: T.interpolate(x, 7, 9, "nearest"), [x])
 
 
 class TestChannelAndElementwiseGradients:

@@ -1,14 +1,19 @@
-"""The no-grad branch of conv2d, pooling and eval batch norm against the grad path.
+"""The no-grad path of conv2d, pooling and eval batch norm.
 
 An op records no backward when grad is disabled or no operand requires grad;
-it then keeps nothing for the reverse sweep. Each test runs the op both ways
-on the same data. Conv, max pooling and batch norm match bit for bit when
-the conv's output fits one band of the column buffer, which is one GEMM of
-the grad path's shape. Over several bands each band is its own GEMM, and the
-BLAS may block a narrower GEMM differently, so there the conv is held to the
-float32 and float64 tolerances fixed for inference (1e-5 and 1e-12 of the
-output's largest magnitude). Average pooling sums in another order: 1e-6 of
-the input's largest magnitude.
+it then keeps nothing for the reverse sweep. conv2d has a branch of its own
+for that case, and each conv test runs it both ways on the same data. The
+two match bit for bit when the conv's output fits one band of the column
+buffer, which is one GEMM of the grad path's shape. Over several bands each
+band is its own GEMM, and the BLAS may block a narrower GEMM differently, so
+there the conv is held to the float32 and float64 tolerances fixed for
+inference (1e-5 and 1e-12 of the output's largest magnitude).
+
+Pooling and batch norm run one forward either way, and both outputs are held
+to an independent reference: the loop pooling of conftest, bit for bit for
+max pooling and within 1e-6 of the input's largest magnitude for average
+pooling, whose float32 sums round; and the batch-norm formula written out in
+numpy, bit for bit.
 """
 
 import numpy as np
@@ -16,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pool_loop
 from icc import tensor as T
 from icc.errors import NumericError
 
@@ -122,13 +128,15 @@ class TestPooling:
         x = np.random.default_rng(6).standard_normal((2, 3, 14, 11)).astype(dtype)
         fast, slow = both_paths(T.maxpool2d, [x], window=window, stride=stride, padding=padding)
         assert_unrecorded(fast)
-        assert fast.dtype == slow.dtype
-        np.testing.assert_array_equal(fast.data, slow.data)
+        assert fast.dtype == slow.dtype == dtype
+        ref = pool_loop(x, window, stride, padding, "max")
+        np.testing.assert_array_equal(fast.data, ref)
+        np.testing.assert_array_equal(slow.data, ref)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        # up to 3x3: the worst-case float32 rounding of a 9-term sum, taken in
-        # two orders, stays under the 1e-6 bound
+        # up to 3x3: the worst-case float32 rounding of a 9-term sum stays
+        # under the 1e-6 bound
         wh=st.integers(1, 3), ww=st.integers(1, 3),
         sh=st.integers(1, 3), sw=st.integers(1, 3),
         ph=st.integers(0, 2), pw=st.integers(0, 2),
@@ -141,8 +149,10 @@ class TestPooling:
             T.avgpool2d, [x], window=(wh, ww), stride=(sh, sw), padding=(ph, pw)
         )
         assert_unrecorded(fast)
-        assert fast.shape == slow.shape and fast.dtype == slow.dtype
-        assert np.abs(fast.data - slow.data).max() <= 1e-6 * np.abs(x).max()
+        assert fast.shape == slow.shape and fast.dtype == slow.dtype == np.float32
+        ref = pool_loop(x, (wh, ww), (sh, sw), (ph, pw), "avg")
+        for out in (fast, slow):
+            assert np.abs(out.data - ref).max() <= 1e-6 * np.abs(x).max()
 
 
 class TestBatchNorm:
@@ -162,7 +172,14 @@ class TestBatchNorm:
         fast, slow = both_paths(bn, [x, gamma, beta])
         assert_unrecorded(fast)
         assert fast.dtype == slow.dtype == dtype
-        np.testing.assert_array_equal(fast.data, slow.data)
+
+        def r(a):
+            return a.reshape(1, c, 1, 1)
+
+        ref = (x - r(mean)) * r(1.0 / np.sqrt(var + 1e-3)) * r(gamma) + r(beta)
+        assert ref.dtype == dtype
+        np.testing.assert_array_equal(fast.data, ref)
+        np.testing.assert_array_equal(slow.data, ref)
 
 
 class TestFiniteCheck:

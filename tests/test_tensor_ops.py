@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import bilinear_loop, conv2d_loop, pool_loop
+from conftest import (
+    adaptive_avgpool_loop,
+    bilinear_loop,
+    conv2d_loop,
+    nearest_loop,
+    pool_loop,
+)
 from icc import tensor as T
 from icc.errors import NumericError, ShapeError
 
@@ -115,6 +123,11 @@ class TestPooling:
         with pytest.raises(ShapeError, match="window"):
             T.maxpool2d(t64(np.ones((1, 1, 4, 4))), 0, 1)
 
+    @pytest.mark.parametrize("op", [T.maxpool2d, T.avgpool2d])
+    def test_non_positive_stride_rejected(self, op):
+        with pytest.raises(ShapeError, match="stride must be positive"):
+            op(t64(np.ones((1, 1, 4, 4))), 2, (1, 0))
+
     def test_window_exceeding_padded_extent(self):
         with pytest.raises(ShapeError):
             T.avgpool2d(t64(np.ones((1, 1, 3, 3))), 5, 1)
@@ -128,6 +141,12 @@ class TestPooling:
         # non-divisible extents still cover every input element
         out2 = T.adaptive_avgpool2d(t64(x[:, :, :11, :7]), 3, 2)
         assert out2.shape == (1, 2, 3, 2)
+
+    def test_adaptive_avgpool_matches_loop_reference(self):
+        x = np.random.default_rng(14).normal(size=(2, 3, 11, 7))
+        for oh, ow in [(3, 2), (6, 6), (11, 1), (4, 7)]:
+            out = T.adaptive_avgpool2d(t64(x), oh, ow)
+            assert np.abs(out.data - adaptive_avgpool_loop(x, oh, ow)).max() <= 1e-12
 
 
 class TestBatchNorm:
@@ -228,6 +247,36 @@ class TestResampling:
             ref = bilinear_loop(x, oh, ow)
             out = T.interpolate(t64(x), oh, ow, "bilinear")
             assert np.abs(out.data - ref).max() < 1e-9
+
+    def test_nearest_matches_loop_reference(self):
+        rng = np.random.default_rng(31)
+        for (h, w), (oh, ow) in [((5, 4), (7, 9)), ((7, 9), (3, 4)), ((6, 5), (6, 13))]:
+            x = rng.normal(size=(2, 3, h, w))
+            out = T.interpolate(t64(x), oh, ow, "nearest")
+            assert np.abs(out.data - nearest_loop(x, oh, ow)).max() <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        method=st.sampled_from(["bilinear", "nearest", "adaptive"]),
+        h=st.integers(1, 12), w=st.integers(1, 12),
+        oh=st.integers(1, 12), ow=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_backward_is_the_adjoint(self, method, h, w, oh, ow, seed):
+        # <R x, g> == <x, R^T g> for the linear map R of each resampling op
+        if method == "adaptive":  # pools onto at most the input's extent
+            h, oh = max(h, oh), min(h, oh)
+            w, ow = max(w, ow), min(w, ow)
+        rng = np.random.default_rng(seed)
+        x = t64(rng.normal(size=(2, 3, h, w)), grad=True)
+        if method == "adaptive":
+            out = T.adaptive_avgpool2d(x, oh, ow)
+        else:
+            out = T.interpolate(x, oh, ow, method)
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        lhs, rhs = (out.data * g).sum(), (x.data * x.grad).sum()
+        assert abs(lhs - rhs) <= 1e-12 * np.abs(out.data * g).sum()
 
     def test_factor_zero_rejected(self):
         with pytest.raises(ShapeError, match="factor"):
