@@ -139,13 +139,15 @@ def generate_synthetic(
     """Gaussian head blobs on a smooth textured background, one rng per seed.
 
     Heads keep a 4-pixel margin from the border, so an image needs at least
-    8x8 pixels; ConfigError names an image count, count range or size that
-    cannot be made.
+    8x8 pixels; ConfigError names an image count, count range, size or seed
+    that cannot be made.
     """
     lo, hi = count_range
     margin = 4.0
     if n_images < 0:
         raise ConfigError(f"invalid image count {n_images}: need n >= 0")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if lo < 0 or hi < lo:
         raise ConfigError(f"invalid count range {lo}..{hi}: need 0 <= count-min <= count-max")
     if min(h, w) < 2 * margin:

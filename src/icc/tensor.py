@@ -12,16 +12,16 @@ Tensor beside it.
 Every forward op validates that its output is finite; NaN/Inf raises
 NumericError immediately instead of propagating silently.
 
-Each op has one forward, which runs whether or not grad is recorded;
-conv2d alone has a second. When it will record no backward (grad is
-disabled, or no operand requires grad) and its operands share one dtype, it
-fills a fixed-size column buffer one band of output rows at a time (a 1x1
-stride-1 unpadded conv is a single matmul) and keeps nothing for the reverse
-sweep. One band gives the grad path's output bit for bit; over several, the
-BLAS may round the narrower GEMMs differently. Pooling reduces shifted
-strided views of the padded input, and its backward adds into the same
-views. Bilinear and nearest resizing and adaptive average pooling are
-separable linear maps, Rh·x·Rwᵀ, with the adjoint Rhᵀ·g·Rw as backward.
+Each op has one forward, which runs whether or not grad is recorded. conv2d
+fills a fixed-size column buffer one band of output rows at a time and
+multiplies each band straight into its slice of the output (a 1x1 stride-1
+unpadded conv is a single matmul over the input, with no columns); its
+backward walks the same bands again and fills each band's columns anew, so
+no column matrix is held between the forward and the backward pass. Pooling
+reduces shifted strided views of the padded input, and its backward adds
+into the same views. Bilinear and nearest resizing and adaptive average
+pooling are separable linear maps, Rh·x·Rwᵀ, with the adjoint Rhᵀ·g·Rw as
+backward.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import NumericError, ShapeError
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
-# Byte size of the no-grad conv2d column buffer; it holds one band of output rows.
+# Byte size of the conv2d column buffer; it holds one band of output rows.
 _COL_BUFFER_BYTES = 8 << 20
 
 
@@ -196,21 +196,10 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def _records(parents: tuple) -> bool:
-    """Whether an op on ``parents`` records its backward."""
-    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
-
-
-def _no_grad_branch(parents: tuple) -> bool:
-    """Whether an op takes its no-grad branch: it records no backward, and its
-    operands share one dtype (mixed ones promote as on the grad path)."""
-    return not _records(parents) and len({p.dtype for p in parents}) == 1
-
-
 def _make(data: np.ndarray, parents: tuple, backward, op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data)
-    if _records(parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -241,6 +230,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
+
+
+def _into(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``ufunc(a, b)``, written over ``a`` unless numpy promotes to a wider dtype."""
+    return ufunc(a, b, out=a if np.result_type(a, b) == a.dtype else None)
 
 
 # -- elementwise ------------------------------------------------------------
@@ -330,58 +324,35 @@ def _conv_out_extent(extent: int, k: int, stride: int, pad: int, dim: str) -> in
     return (padded - k) // stride + 1
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int):
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    n, c, hp, wp = xp.shape
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+def _offset_views(a: np.ndarray, r0: int, r: int, kh, kw, sh, sw, wo):
+    """(kernel row, kernel column, view) for each kernel offset: the strided
+    view of one padded sample ``a`` [C, Hp, Wp] that the offset reads for output
+    rows r0 .. r0 + r - 1."""
     for i in range(kh):
+        top = i + sh * r0
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-    return cols.reshape(n, c * kh * kw, ho * wo), (ho, wo)
+            yield i, j, a[:, top : top + sh * r : sh, j : j + sw * wo : sw]
 
 
-def _col2im(cols: np.ndarray, x_shape, kh, kw, sh, sw, ph, pw) -> np.ndarray:
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * ph, w + 2 * pw
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
-    xp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += cols6[:, :, i, j]
-    return xp[:, :, ph : ph + h, pw : pw + w]
+def _conv_bands(xp: np.ndarray, kh, kw, sh, sw, ho, wo):
+    """(sample, first output row, rows, columns) for each band of output rows
+    of a conv over the padded input ``xp``.
 
-
-def _conv_banded(x: np.ndarray, wmat: np.ndarray, kh, kw, sh, sw, ph, pw, ho, wo) -> np.ndarray:
-    """conv2d's output with no column matrix kept: [N, Cout, Ho, Wo].
-
-    Each band of output rows gets its columns in one reused buffer of
-    ``_COL_BUFFER_BYTES`` and is multiplied straight into its slice of the
-    output. One band is the grad path's matmul bit for bit; over several, the
-    BLAS may block each narrower GEMM differently, which moves the last bits.
+    A band's columns, [C*kh*kw, rows*Wo], are filled into one buffer of
+    ``_COL_BUFFER_BYTES`` that every band reuses, so they hold only until the
+    next band is drawn.
     """
-    n, c, h, w = x.shape
-    cout = wmat.shape[0]
-    if kh == kw == sh == sw == 1 and ph == pw == 0:
-        return np.matmul(wmat, x.reshape(n, c, h * w)).reshape(n, cout, ho, wo)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
+    n, c = xp.shape[:2]
     k = c * kh * kw
-    band = max(1, min(ho, _COL_BUFFER_BYTES // (k * wo * x.itemsize)))
-    buf = np.empty(k * band * wo, dtype=x.dtype)
-    out = np.empty((n, cout, ho * wo), dtype=x.dtype)
-    for i in range(n):
+    band = max(1, min(ho, _COL_BUFFER_BYTES // (k * wo * xp.itemsize)))
+    buf = np.empty(k * band * wo, dtype=xp.dtype)
+    for s in range(n):
         for r0 in range(0, ho, band):
             r = min(band, ho - r0)
             cols = buf[: k * r * wo].reshape(c, kh, kw, r, wo)
-            for a in range(kh):
-                top = a + sh * r0
-                for j in range(kw):
-                    cols[:, a, j] = xp[i, :, top : top + sh * r : sh, j : j + sw * wo : sw]
-            np.matmul(wmat, cols.reshape(k, r * wo), out=out[i, :, r0 * wo : (r0 + r) * wo])
-    return out.reshape(n, cout, ho, wo)
+            for i, j, view in _offset_views(xp[s], r0, r, kh, kw, sh, sw, wo):
+                cols[:, i, j] = view
+            yield s, r0, r, cols.reshape(k, r * wo)
 
 
 def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
@@ -416,27 +387,51 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
 
     parents = (x, weight) if b is None else (x, weight, b)
     wmat = weight.data.reshape(cout, -1)
-    if _no_grad_branch(parents):
-        out_data = _conv_banded(x.data, wmat, kh, kw, sh, sw, ph, pw, ho, wo)
-        if b is not None:
-            out_data += b.data.reshape(1, cout, 1, 1)
-        return _make(out_data, parents, None, "conv2d")
+    # A 1x1 stride-1 unpadded conv is one matmul over the input as it lies.
+    pointwise = kh == kw == sh == sw == 1 and ph == pw == 0
+    geometry = (kh, kw, sh, sw, ho, wo)
 
-    cols, _ = _im2col(x.data, kh, kw, sh, sw, ph, pw)  # [N, Cin*kh*kw, Ho*Wo]
-    out_data = np.matmul(wmat, cols).reshape(n, cout, ho, wo)
+    def padded():
+        return np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x.data
+
+    if pointwise:
+        out = np.matmul(wmat, x.data.reshape(n, cin, h * w))
+    else:
+        out = np.empty((n, cout, ho * wo), np.result_type(x.data, wmat))
+        for s, r0, r, cols in _conv_bands(padded(), *geometry):
+            np.matmul(wmat, cols, out=out[s, :, r0 * wo : (r0 + r) * wo])
+    out_data = out.reshape(n, cout, ho, wo)
     if b is not None:
-        out_data = out_data + b.data.reshape(1, cout, 1, 1)
+        out_data = _into(np.add, out_data, b.data.reshape(1, cout, 1, 1))
 
     def backward(g):
         gmat = g.reshape(n, cout, ho * wo)
-        if weight.requires_grad:
-            gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(weight, gw.reshape(weight.data.shape))
-        if x.requires_grad:
-            gcols = np.matmul(wmat.T, gmat)
-            _accumulate(x, _col2im(gcols, x.data.shape, kh, kw, sh, sw, ph, pw))
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
+        if pointwise:
+            xmat = x.data.reshape(n, cin, h * w)
+            if weight.requires_grad:
+                gw = np.matmul(gmat, xmat.transpose(0, 2, 1)).sum(axis=0)
+                _accumulate(weight, gw.reshape(weight.shape))
+            if x.requires_grad:
+                _accumulate(x, np.matmul(wmat.T, gmat).reshape(x.shape))
+            return
+        # Each band's columns are filled again here rather than kept from the
+        # forward pass, so a step never holds a whole column matrix.
+        xp = padded()
+        gw = np.zeros(wmat.shape, g.dtype)
+        gxp = np.zeros(xp.shape, g.dtype) if x.requires_grad else None
+        for s, r0, r, cols in _conv_bands(xp, *geometry):
+            gband = gmat[s, :, r0 * wo : (r0 + r) * wo]
+            if weight.requires_grad:
+                gw += gband @ cols.T
+            if gxp is not None:
+                gcols = (wmat.T @ gband).reshape(cin, kh, kw, r, wo)
+                for i, j, view in _offset_views(gxp[s], r0, r, kh, kw, sh, sw, wo):
+                    view += gcols[:, i, j]
+        _accumulate(weight, gw.reshape(weight.shape))
+        if gxp is not None:
+            _accumulate(x, gxp[:, :, ph : ph + h, pw : pw + w])
 
     return _make(out_data, parents, backward, "conv2d")
 
@@ -562,11 +557,6 @@ def avgpool2d(x, window, stride=None, padding=0) -> Tensor:
 
 
 # -- batch normalization ----------------------------------------------------
-
-
-def _into(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``ufunc(a, b)``, written over ``a`` unless numpy promotes to a wider dtype."""
-    return ufunc(a, b, out=a if np.result_type(a, b) == a.dtype else None)
 
 
 def batchnorm2d(

@@ -40,6 +40,11 @@ class TestConvGradients:
         x, w = t(rand(1, 2, 6, 8, seed=6)), t(rand(2, 2, 1, 7, seed=7))
         check_op_gradients(lambda: T.conv2d(x, w, padding=(0, 3)), [x, w])
 
+    def test_conv2d_pointwise(self):
+        # 1x1, stride 1, no padding: one matmul over the input, with no columns
+        x, w, b = t(rand(2, 3, 5, 4, seed=11)), t(rand(4, 3, 1, 1, seed=12)), t(rand(4, seed=13))
+        check_op_gradients(lambda: T.conv2d(x, w, bias=b), [x, w, b])
+
     def test_separable_conv2d(self):
         x = t(rand(1, 2, 7, 7, seed=8))
         kv = t(rand(3, 2, 5, 1, seed=9))

@@ -1,19 +1,21 @@
-"""The no-grad path of conv2d, pooling and eval batch norm.
+"""The no-grad path of conv2d, pooling and eval batch norm, and conv2d's bands.
 
 An op records no backward when grad is disabled or no operand requires grad;
-it then keeps nothing for the reverse sweep. conv2d has a branch of its own
-for that case, and each conv test runs it both ways on the same data. The
-two match bit for bit when the conv's output fits one band of the column
-buffer, which is one GEMM of the grad path's shape. Over several bands each
-band is its own GEMM, and the BLAS may block a narrower GEMM differently, so
-there the conv is held to the float32 and float64 tolerances fixed for
-inference (1e-5 and 1e-12 of the output's largest magnitude).
+it then keeps nothing for the reverse sweep. Every op runs one forward either
+way, and each test runs it both ways on the same data.
 
-Pooling and batch norm run one forward either way, and both outputs are held
-to an independent reference: the loop pooling of conftest, bit for bit for
-max pooling and within 1e-6 of the input's largest magnitude for average
-pooling, whose float32 sums round; and the batch-norm formula written out in
-numpy, bit for bit.
+conv2d fills a fixed-size column buffer one band of output rows at a time,
+and its backward fills each band's columns again. Both outputs are held to
+the loop convolution of conftest. A conv over several bands, with the buffer
+monkeypatched down to two output rows, is held to the same conv in one band,
+forward and backward: each band is its own GEMM, and the BLAS may block a
+narrower GEMM differently, so these comparisons use the float32 and float64
+tolerances fixed for inference (1e-5 and 1e-12 of the largest magnitude).
+
+Pooling and batch norm are held to an independent reference: the loop
+pooling of conftest, bit for bit for max pooling and within 1e-6 of the
+input's largest magnitude for average pooling, whose float32 sums round; and
+the batch-norm formula written out in numpy, bit for bit.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pool_loop
+from conftest import conv2d_loop, pool_loop
 from icc import tensor as T
 from icc.errors import NumericError
 
@@ -52,6 +54,10 @@ def conv(x, w, b=None, **kw):
     return T.conv2d(x, w, bias=b, **kw)
 
 
+def tolerance(dtype):
+    return 1e-5 if dtype == np.float32 else 1e-12
+
+
 class TestConv2d:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("bias", [False, True])
@@ -64,6 +70,8 @@ class TestConv2d:
         assert_unrecorded(fast)
         assert fast.dtype == slow.dtype == dtype
         np.testing.assert_array_equal(fast.data, slow.data)
+        ref = conv2d_loop(*arrays[:2], stride, padding, *arrays[2:])
+        assert np.abs(fast.data - ref).max() <= tolerance(dtype) * np.abs(ref).max()
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("k, stride", [
@@ -74,17 +82,43 @@ class TestConv2d:
     def test_bands_match_grad_path(self, k, stride, dtype, monkeypatch):
         arrays = conv_case(np.random.default_rng(4), dtype, k, True, cin=6, h=29, w=17)
         padding = (k[0] // 2, k[1] // 2)
-        _, slow = both_paths(conv, arrays, stride=stride, padding=padding)
-        ho, wo = slow.shape[2:]
+        _, one_band = both_paths(conv, arrays, stride=stride, padding=padding)
+        ho, wo = one_band.shape[2:]
         # two output rows per band: a call crosses 3 or more band boundaries
         row_bytes = 6 * k[0] * k[1] * wo * np.dtype(dtype).itemsize
         monkeypatch.setattr(T, "_COL_BUFFER_BYTES", 2 * row_bytes)
         assert -(-ho // 2) - 1 >= 3
-        fast, _ = both_paths(conv, arrays, stride=stride, padding=padding)
+        fast, slow = both_paths(conv, arrays, stride=stride, padding=padding)
         assert_unrecorded(fast)
-        tol = 1e-5 if dtype == np.float32 else 1e-12
-        scale = np.abs(slow.data).max()
-        assert np.abs(fast.data - slow.data).max() <= tol * scale
+        np.testing.assert_array_equal(fast.data, slow.data)
+        scale = np.abs(one_band.data).max()
+        assert np.abs(fast.data - one_band.data).max() <= tolerance(dtype) * scale
+
+    @pytest.mark.parametrize("grads", ["w", "x", "xwb"])
+    @pytest.mark.parametrize("k, stride, padding", [
+        ((3, 3), (1, 1), (1, 1)), ((3, 3), (2, 2), (1, 1)),
+        ((1, 7), (1, 1), (0, 3)), ((7, 1), (1, 1), (3, 0)),
+        # a strided 1x1 conv goes through bands too
+        ((1, 1), (2, 2), (0, 0)),
+    ])
+    def test_banded_backward_matches_one_band(self, k, stride, padding, grads, monkeypatch):
+        arrays = conv_case(np.random.default_rng(7), np.float64, k, True, cin=6, h=29, w=17)
+
+        def gradients():
+            x, w, b = (T.Tensor(a, requires_grad=name in grads)
+                       for a, name in zip(arrays, "xwb"))
+            out = T.conv2d(x, w, stride=stride, padding=padding, bias=b)
+            out.backward(np.random.default_rng(8).standard_normal(out.shape))
+            return out.shape, {name: t.grad for name, t in zip("xwb", (x, w, b)) if name in grads}
+
+        (_, _, ho, wo), one_band = gradients()
+        # two output rows per band: the backward crosses 3 or more band boundaries
+        monkeypatch.setattr(T, "_COL_BUFFER_BYTES", 2 * 6 * k[0] * k[1] * wo * 8)
+        assert -(-ho // 2) - 1 >= 3
+        _, banded = gradients()
+        assert banded.keys() == one_band.keys() == set(grads)
+        for name, g in one_band.items():
+            assert np.abs(banded[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
     def test_grad_enabled_without_grad_operands_records_nothing(self):
         x, w = conv_case(np.random.default_rng(5), np.float32, (3, 3), False)

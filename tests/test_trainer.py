@@ -361,7 +361,9 @@ class TestCLI:
         (["synth", "--count-min", "10", "--count-max", "5"], "invalid count range 10..5"),
         (["synth", "--height", "0"], "image size 0x256 is below the 8x8 minimum"),
         (["synth", "--n", "-1"], "invalid image count -1: need n >= 0"),
-    ], ids=["flops-0", "flops-negative", "flops-16x16", "synth-range", "synth-size", "synth-n"])
+        (["synth", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["flops-0", "flops-negative", "flops-16x16", "synth-range", "synth-size", "synth-n",
+            "synth-seed"])
     def test_bad_size_or_range_exit_code(self, tmp_path, args, message):
         if args[0] == "synth":
             args = args + ["--out-dir", tmp_path / "synth"]
