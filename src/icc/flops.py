@@ -11,7 +11,7 @@ full multiply+add figure.
 Secondary per-element rules (documented in the report's convention tag):
 batch norm costs 2 ops/element in inference form (1 mul + 1 add), pooling
 costs window-1 compares-or-adds per output, bilinear resampling 7 ops per
-output element (4 mul + 3 add), activations 1 op/element, channel summation
+output element (4 mul + 3 add), relu and sigmoid 1 op/element, channel summation
 C-1 adds/element; a few percent at most. The rules live in ``icc.model.KINDS``.
 """
 

@@ -305,8 +305,7 @@ class DMCountLoss:
     count_term: float
     ot_term: float            # <plan, C>
     tv_term: float
-    ot_entropic: float        # OT scalar consistent with the gradient
-    smooth_total: float       # count + l1*ot_entropic + l2*||y||*tv
+    smooth_total: float       # total with the entropic OT scalar the gradient differentiates
     iterations: int           # of the Sinkhorn solve
     converged: bool
     marginal_error: float
@@ -334,7 +333,6 @@ def dm_count_loss(
         count_term=lc,
         ot_term=ot.value,
         tv_term=ltv,
-        ot_entropic=ot.entropic_value,
         smooth_total=float(lc + lambda1 * ot.entropic_value + lambda2 * ymass * ltv),
         iterations=ot.plan.iterations,
         converged=ot.plan.converged,

@@ -95,7 +95,6 @@ class GraphDescription:
     layers: list[Layer]
     taps: dict[str, str]
     ablation: str | None = None
-    config: ModelConfig | None = None
 
     def layer_map(self) -> dict[str, Layer]:
         return {l.name: l for l in self.layers}
@@ -458,7 +457,7 @@ def build_icc(config: ModelConfig) -> GraphDescription:
             if n == l.name:
                 tap = t
         layers.append(replace(l, tap=tap))
-    return GraphDescription(layers=layers, taps=taps, ablation=config.ablation, config=config)
+    return GraphDescription(layers=layers, taps=taps, ablation=config.ablation)
 
 
 def build_vgg16_frontend(in_channels: int = 3) -> GraphDescription:
@@ -476,7 +475,7 @@ def build_vgg16_frontend(in_channels: int = 3) -> GraphDescription:
                 f"pool{stage}", "maxpool", [x],
                 dict(window_h=2, window_w=2, stride_h=2, stride_w=2, pad_h=0, pad_w=0),
             )
-    return GraphDescription(layers=b.layers, taps={"output": x}, ablation=None, config=None)
+    return GraphDescription(layers=b.layers, taps={"output": x}, ablation=None)
 
 
 # -- parameters ---------------------------------------------------------------
@@ -486,7 +485,7 @@ HEAD_INIT_SCALE = 0.01
 
 
 def _output_head_convs(graph: GraphDescription) -> set[str]:
-    """Conv layers feeding the channel-summed output (through activations).
+    """Conv layers feeding the channel-summed output (through relu, sigmoid, batch norm).
 
     The density head starts tiny so initial count predictions sit near zero;
     a full-strength head predicts counts orders of magnitude too large and
@@ -771,21 +770,15 @@ class ForwardResult:
     output: T.Tensor
     taps: dict[str, T.Tensor]
     param_tensors: dict[str, T.Tensor]
-    activations: dict[str, T.Tensor] | None = None
-    _ran_backward: bool = False
 
     def backward(self, seed: np.ndarray) -> dict[str, np.ndarray]:
         """Reverse sweep from the output; returns the parameter gradient map.
 
         Parameters the output does not depend on report zero gradients.
         """
+        if not self.output.requires_grad:
+            raise RuntimeError("backward() needs a forward run with requires_grad=True")
         self.output.backward(seed)
-        self._ran_backward = True
-        return self.gradients()
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        if not self._ran_backward:
-            raise RuntimeError("gradients requested before backward() ran")
         return {
             name: (t.grad if t.grad is not None else np.zeros_like(t.data))
             for name, t in self.param_tensors.items()
@@ -798,15 +791,15 @@ def forward(
     x: np.ndarray,
     mode: str = "eval",
     requires_grad: bool = False,
-    keep_activations: bool = False,
 ) -> ForwardResult:
     """Execute the graph on a batch [N, C, H, W].
 
     ``mode`` selects batch-norm behaviour (train updates running statistics
-    in place). With ``requires_grad`` the result supports ``backward``;
-    ``keep_activations`` retains every intermediate (debugging aid, costs
-    memory). ``params`` must match the graph (DataError otherwise), and ``x``
-    is cast to their dtype.
+    in place). With ``requires_grad`` the parameters require grad, so every
+    op that reads one records its backward and the result supports
+    ``backward``; without it no op records anything. An intermediate is kept
+    only when a tap names its layer. ``params`` must match the graph
+    (DataError otherwise), and ``x`` is cast to their dtype.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -824,33 +817,19 @@ def forward(
     last_reader = {src: i for i, l in enumerate(graph.layers) for src in l.reads()}
     values: dict[str, T.Tensor] = {}
     taps: dict[str, T.Tensor] = {}
-
-    def run():
-        for i, l in enumerate(graph.layers):
-            ins = [values[s] for s in l.reads()] if l.inputs else [x]
-            out = KINDS[l.kind].run(l, ins, p, mode)
-            values[l.name] = out
-            for t, n in graph.taps.items():
-                if n == l.name:
-                    taps[t] = out
-            if not keep_activations:
-                for src in l.reads():
-                    if last_reader[src] == i and src not in keep:
-                        values.pop(src, None)
-
-    if requires_grad:
-        run()
-    else:
-        with T.no_grad():
-            run()
+    for i, l in enumerate(graph.layers):
+        ins = [values[s] for s in l.reads()] if l.inputs else [x]
+        out = KINDS[l.kind].run(l, ins, p, mode)
+        values[l.name] = out
+        for t, n in graph.taps.items():
+            if n == l.name:
+                taps[t] = out
+        for src in l.reads():
+            if last_reader[src] == i and src not in keep:
+                values.pop(src, None)
 
     output = taps.get("output") or values[graph.layers[-1].name]
-    return ForwardResult(
-        output=output,
-        taps=taps,
-        param_tensors=param_tensors,
-        activations=values if keep_activations else None,
-    )
+    return ForwardResult(output=output, taps=taps, param_tensors=param_tensors)
 
 
 # -- whole-image prediction ----------------------------------------------------

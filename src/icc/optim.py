@@ -1,4 +1,4 @@
-"""AdamW with decoupled weight decay and per-step exponential learning-rate decay."""
+"""AdamW with decoupled weight decay."""
 
 from __future__ import annotations
 
@@ -10,10 +10,8 @@ from .errors import NumericError, ShapeError
 class AdamW:
     """Decoupled-weight-decay Adam over a name -> array parameter map.
 
-    Parameter arrays are updated in place. The learning rate used at step t
-    is ``base_lr * lr_decay ** t`` (t counts completed steps, so the first
-    step runs at ``base_lr``). ``lr_decay=1`` keeps it constant; the trainer
-    drives epoch-level decay by moving ``base_lr`` between epochs instead.
+    Parameter arrays are updated in place. The learning rate is constant
+    until ``set_lr`` moves it; the trainer decays it that way between epochs.
     """
 
     def __init__(
@@ -23,31 +21,20 @@ class AdamW:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 1e-4,
-        lr_decay: float = 1.0,
     ):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 < lr_decay <= 1.0:
-            raise ValueError(f"lr_decay must lie in (0, 1], got {lr_decay}")
         self.params = params
-        self.base_lr = float(lr)
+        self.set_lr(lr)
         self.betas = betas
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self.lr_decay = float(lr_decay)
         self.step_count = 0
         self.m = {k: np.zeros_like(p) for k, p in params.items()}
         self.v = {k: np.zeros_like(p) for k, p in params.items()}
 
-    @property
-    def lr(self) -> float:
-        """Effective learning rate for the next step: base * decay**t."""
-        return self.base_lr * self.lr_decay**self.step_count
-
-    def set_base_lr(self, lr: float) -> None:
+    def set_lr(self, lr: float) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        self.base_lr = float(lr)
+        self.lr = float(lr)
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         """Apply one update. Parameters absent from ``grads`` are skipped.

@@ -12,16 +12,16 @@ Tensor beside it.
 Every forward op validates that its output is finite; NaN/Inf raises
 NumericError immediately instead of propagating silently.
 
-Each op has one forward, which runs whether or not grad is recorded. conv2d
-fills a fixed-size column buffer one band of output rows at a time and
-multiplies each band straight into its slice of the output (a 1x1 stride-1
-unpadded conv is a single matmul over the input, with no columns); its
-backward walks the same bands again and fills each band's columns anew, so
-no column matrix is held between the forward and the backward pass. Pooling
-reduces shifted strided views of the padded input, and its backward adds
-into the same views. Bilinear and nearest resizing and adaptive average
-pooling are separable linear maps, Rh·x·Rwᵀ, with the adjoint Rhᵀ·g·Rw as
-backward.
+An op records its backward exactly when one of its operands requires grad.
+Each op has one forward, which runs whether or not it records. conv2d fills
+a fixed-size column buffer one band of output rows at a time and multiplies
+each band straight into its slice of the output (a 1x1 stride-1 unpadded
+conv is a single matmul over the input, with no columns); its backward walks
+the same bands again and fills each band's columns anew, so no column matrix
+is held between the forward and the backward pass. Pooling reduces shifted
+strided views of the padded input, and its backward adds into the same
+views. Bilinear and nearest resizing and adaptive average pooling are
+separable linear maps, Rh·x·Rwᵀ, with the adjoint Rhᵀ·g·Rw as backward.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from scipy.special import expit
 from .errors import NumericError, ShapeError
 
 _DEFAULT_DTYPE = np.float32
-_GRAD_ENABLED = True
 # Byte size of the conv2d column buffer; it holds one band of output rows.
 _COL_BUFFER_BYTES = 8 << 20
 
@@ -48,21 +47,6 @@ def set_default_dtype(dtype) -> None:
 
 def default_dtype():
     return _DEFAULT_DTYPE
-
-
-class no_grad:
-    """Context manager: ops inside do not record the backward graph."""
-
-    def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
-
-    def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
-        return False
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -83,9 +67,9 @@ def _as_pair(v, name: str) -> tuple[int, int]:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(_DEFAULT_DTYPE)
@@ -94,7 +78,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -108,19 +91,11 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
     # -- arithmetic sugar ---------------------------------------------------
 
@@ -192,14 +167,17 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # A copy: ``g`` may be a view of an upstream gradient (``_unbroadcast``
+        # and ``np.split`` return views), and this buffer is added into later.
+        t.grad = np.array(g, dtype=t.data.dtype)
+    else:
+        t.grad += g
 
 
 def _make(data: np.ndarray, parents: tuple, backward, op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward

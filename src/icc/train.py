@@ -190,12 +190,7 @@ def train(config: TrainConfig) -> TrainResult:
     graph = M.build_icc(config.model_config())
     graph_path.write_text(graph.to_text(), encoding="utf-8")
     params = M.init_parameters(graph, config.seed, dtype=f"float{config.precision}")
-    opt = AdamW(
-        params,
-        lr=config.learning_rate,
-        weight_decay=config.weight_decay,
-        lr_decay=1.0,
-    )
+    opt = AdamW(params, lr=config.learning_rate, weight_decay=config.weight_decay)
 
     rng = np.random.default_rng(config.seed)
     normalized = [
@@ -213,7 +208,7 @@ def train(config: TrainConfig) -> TrainResult:
 
     for epoch in range(config.epochs):
         epoch_lr = config.learning_rate * config.lr_gamma**epoch
-        opt.set_base_lr(epoch_lr)
+        opt.set_lr(epoch_lr)
         order = rng.permutation(len(normalized))
         sums = np.zeros(4)  # loss, l_c, l_ot, l_tv
         n_samples = 0

@@ -174,6 +174,12 @@ class TestChannelAndElementwiseGradients:
 
         check_op_gradients(build, [base, gate_w])
 
+    def test_shared_first_gradient_then_accumulation(self):
+        # add passes one upstream array to a and b as their first gradient;
+        # a's gradient through the relu is added afterwards
+        a, b = t(rand(2, 3, seed=28)), t(rand(2, 3, seed=29))
+        check_op_gradients(lambda: T.add(T.add(a, b), T.relu(a)), [a, b])
+
 
 class TestBackwardContract:
     def test_sum_of_parameter_gives_ones(self):

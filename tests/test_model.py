@@ -1,5 +1,7 @@
 """Architecture structure, execution shapes, ablations and initialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,11 @@ def small_config(**kw):
 def run_image(graph, params, h, w, seed=0, **kw):
     x = np.random.default_rng(seed).uniform(0, 1, (1, 3, h, w)).astype(np.float32)
     return M.forward(graph, params, x, **kw)
+
+
+def tapping(graph, names):
+    """``graph`` with a tap, named after its layer, on each of ``names``."""
+    return dataclasses.replace(graph, taps={**graph.taps, **{n: n for n in names}})
 
 
 class TestGraphStructure:
@@ -100,11 +107,11 @@ class TestShapes:
     def test_full_width_block_shapes_execute(self):
         graph = M.build_icc(M.ModelConfig())
         params = M.init_parameters(graph, 0)
-        run = run_image(graph, params, 128, 128, keep_activations=True)
-        acts = run.activations
-        assert acts["inception_a1.concat"].shape == (1, 256, 16, 16)
-        assert acts["reduction_b.concat"].shape == (1, 768, 8, 8)
-        assert acts["inception_c1.concat"].shape == (1, 768, 8, 8)
+        concats = ["inception_a1.concat", "reduction_b.concat", "inception_c1.concat"]
+        run = run_image(tapping(graph, concats), params, 128, 128)
+        assert run.taps["inception_a1.concat"].shape == (1, 256, 16, 16)
+        assert run.taps["reduction_b.concat"].shape == (1, 768, 8, 8)
+        assert run.taps["inception_c1.concat"].shape == (1, 768, 8, 8)
         assert run.taps["Feature1"].shape == (1, 192, 16, 16)
         assert run.taps["Feature2"].shape == (1, 288, 16, 16)
         assert run.taps["Feature3"].shape == (1, 768, 8, 8)
@@ -118,8 +125,9 @@ class TestShapes:
         # a float32 input runs in the parameters' dtype, through every layer
         for dtype in (np.float32, np.float64):
             params = M.init_parameters(graph, 0, dtype)
-            run = run_image(graph, params, 64, 96, keep_activations=True)
-            for name, t in run.activations.items():
+            run = run_image(tapping(graph, shapes), params, 64, 96)
+            for name in shapes:
+                t = run.taps[name]
                 assert shapes[name] == t.shape[1:], name
                 assert t.dtype == dtype, (name, t.dtype)
 
@@ -165,9 +173,9 @@ class TestContextualModule:
         g = self._context_graph(3, [1])
         params = M.init_parameters(g, 0)
         x = np.full((1, 3, 8, 8), 0.5, dtype=np.float32)
-        run = M.forward(g, params, x, keep_activations=True)
+        run = M.forward(tapping(g, ["context.s1.up"]), params, x)
         assert run.output.shape == (1, 6, 8, 8)  # 2C channels
-        up = run.activations["context.s1.up"].data
+        up = run.taps["context.s1.up"].data
         assert np.abs(up - up.mean(axis=(2, 3), keepdims=True)).max() < 1e-6
 
     def test_zero_convs_give_concat_base_zero(self):
@@ -186,11 +194,12 @@ class TestContextualModule:
         g = self._context_graph(6, [1, 2, 3, 6])
         params = M.init_parameters(g, 3)
         x = np.random.default_rng(4).normal(size=(2, 6, 24, 24)).astype(np.float32)
-        run = M.forward(g, params, x, keep_activations=True)
+        gates = [f"context.s{s}.sigmoid" for s in (1, 2, 3, 6)]
+        run = M.forward(tapping(g, gates), params, x)
         assert run.output.shape == (2, 12, 24, 24)
         assert np.isfinite(run.output.data).all()
-        for s in (1, 2, 3, 6):
-            gate = run.activations[f"context.s{s}.sigmoid"].data
+        for name in gates:
+            gate = run.taps[name].data
             assert np.all(gate > 0) and np.all(gate < 1)
 
     def test_scale_exceeding_extent_rejected(self):

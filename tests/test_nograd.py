@@ -1,8 +1,11 @@
 """The no-grad path of conv2d, pooling and eval batch norm, and conv2d's bands.
 
-An op records no backward when grad is disabled or no operand requires grad;
-it then keeps nothing for the reverse sweep. Every op runs one forward either
-way, and each test runs it both ways on the same data.
+An op records its backward exactly when one of its operands requires grad;
+otherwise it keeps nothing for the reverse sweep. Every op runs one forward
+either way, and each test runs it both ways on the same data: once on
+operands that do not require grad and once on operands that do. A model
+forward without ``requires_grad`` gives its parameters no grad, so no op in
+the graph records anything, and its result refuses ``backward``.
 
 conv2d fills a fixed-size column buffer one band of output rows at a time,
 and its backward fills each band's columns again. Both outputs are held to
@@ -24,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import conv2d_loop, pool_loop
+from icc import model as M
 from icc import tensor as T
 from icc.errors import NumericError
 
@@ -32,8 +36,7 @@ DTYPES = (np.float32, np.float64)
 
 def both_paths(op, arrays, **kw):
     """(no-grad output, grad-path output) of ``op`` on Tensors of ``arrays``."""
-    with T.no_grad():
-        fast = op(*[T.Tensor(a, requires_grad=True) for a in arrays], **kw)
+    fast = op(*[T.Tensor(a) for a in arrays], **kw)
     slow = op(*[T.Tensor(a, requires_grad=True) for a in arrays], **kw)
     assert slow._parents and slow._backward is not None
     return fast, slow
@@ -247,3 +250,26 @@ class TestFiniteCheck:
         x.reshape(-1)[position] = value
         with pytest.raises(NumericError, match=f"^{op}: "):
             self.OPS[op](T.Tensor(x, requires_grad=grad), grad)
+
+
+class TestForward:
+    def run(self, requires_grad):
+        graph = M.build_icc(M.ModelConfig(width_scale=0.25))
+        graph.taps.update({l.name: l.name for l in graph.layers})
+        x = np.random.default_rng(10).uniform(0, 1, (2, 3, 64, 64))
+        return M.forward(graph, M.init_parameters(graph, 0), x, requires_grad=requires_grad)
+
+    def test_without_requires_grad_nothing_is_recorded(self):
+        run = self.run(False)
+        assert len(run.taps) > 100
+        for t in [run.output, *run.taps.values()]:
+            assert_unrecorded(t)
+        with pytest.raises(RuntimeError, match="requires_grad=True"):
+            run.backward(np.ones(run.output.shape))
+
+    def test_with_requires_grad_the_output_is_recorded(self):
+        run = self.run(True)
+        assert run.output._parents and run.output._backward is not None
+        grads = run.backward(np.ones(run.output.shape))
+        assert grads.keys() == run.param_tensors.keys()
+        assert any(np.any(g != 0) for g in grads.values())

@@ -30,22 +30,6 @@ def test_zero_gradient_zero_decay_leaves_parameters():
     assert np.array_equal(p["w"], [1.0, -2.0, 3.0])
 
 
-def test_constant_lr_with_unit_decay():
-    opt = AdamW({"w": np.zeros(2)}, lr=3e-4, lr_decay=1.0)
-    for _ in range(10):
-        opt.step({"w": np.ones(2)})
-        assert opt.lr == 3e-4
-
-
-def test_effective_lr_is_base_times_gamma_pow_t():
-    gamma = 0.9
-    opt = AdamW({"w": np.zeros(1)}, lr=1e-3, lr_decay=gamma)
-    for t in range(25):
-        assert opt.lr == 1e-3 * gamma**t
-        opt.step({"w": np.ones(1)})
-    assert opt.lr == 1e-3 * gamma**25
-
-
 def test_matches_scalar_reference_trajectory():
     rng = np.random.default_rng(0)
     grads = rng.normal(size=40)
