@@ -29,7 +29,6 @@ DENSITY_VERSION = 1
 @dataclass
 class DensityMap:
     values: np.ndarray
-    is_ground_truth: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -77,19 +76,18 @@ def rasterize(points, h: int, w: int) -> DensityMap:
         if not (0 <= x < w and 0 <= y < h):
             raise DataError(f"point {k} at ({x}, {y}) outside bounds {w}x{h}")
         values[int(np.floor(y)), int(np.floor(x))] += 1.0
-    return DensityMap(values, is_ground_truth=True)
+    return DensityMap(values)
 
 
 def downsample_by_8(dmap: DensityMap | np.ndarray) -> DensityMap:
     """Non-overlapping 8x8 sum pooling; ragged edges are zero-padded."""
     values = np.asarray(getattr(dmap, "values", dmap))
-    is_gt = getattr(dmap, "is_ground_truth", False)
     h, w = values.shape
     ho, wo = -(-h // DOWNSAMPLE), -(-w // DOWNSAMPLE)
     padded = np.zeros((ho * DOWNSAMPLE, wo * DOWNSAMPLE), dtype=values.dtype)
     padded[:h, :w] = values
     pooled = padded.reshape(ho, DOWNSAMPLE, wo, DOWNSAMPLE).sum(axis=(1, 3))
-    return DensityMap(pooled, is_ground_truth=is_gt)
+    return DensityMap(pooled)
 
 
 def random_crop(ann: AnnotatedImage, hc: int, wc: int, rng: np.random.Generator) -> Sample:

@@ -15,8 +15,9 @@ so external tools can consume the identical description.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,6 +30,9 @@ BN_MOMENTUM = 0.1
 CONTEXT_WEIGHT_EPS = 1e-6
 PAD_MULTIPLE = 32
 OUTPUT_STRIDE = 8
+IN_CHANNELS = 3
+CONTEXT_SCALES = (1, 2, 3, 6)  # pooled grid sizes of the contextual module
+DECODER_CHANNELS = (256, 128, 64)
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,6 @@ class Layer:
     kind: str
     inputs: tuple[str, ...] = ()
     attrs: dict = field(default_factory=dict)
-    tap: str | None = None
     block: str | None = None
 
     def reads(self) -> tuple[str, ...]:
@@ -48,28 +51,13 @@ class Layer:
 
 @dataclass
 class ModelConfig:
-    in_channels: int = 3
     use_contextual_module: bool = True
     use_inception_blocks: bool = True
-    contextual_scales: tuple[int, ...] = (1, 2, 3, 6)
-    decoder_channels: tuple[int, ...] = (256, 128, 64)
-    feature3_upsample: str = "bilinear"
     width_scale: float = 1.0
 
     def __post_init__(self):
-        scales = tuple(int(s) for s in self.contextual_scales)
-        if any(s < 1 for s in scales):
-            raise ConfigError(f"contextual scales must be >= 1, got {scales}")
-        if any(b >= a for a, b in zip(scales[1:], scales)):
-            raise ConfigError(f"contextual scales must be strictly increasing, got {scales}")
-        self.contextual_scales = scales
-        self.decoder_channels = tuple(int(c) for c in self.decoder_channels)
-        if not self.decoder_channels:
-            raise ConfigError("decoder channel plan must not be empty")
         if not 0 < self.width_scale < math.inf:
             raise ConfigError(f"width scale must be positive and finite, got {self.width_scale}")
-        if self.feature3_upsample not in ("bilinear", "nearest"):
-            raise ConfigError(f"unknown upsample method {self.feature3_upsample!r}")
 
     @property
     def ablation(self) -> str | None:
@@ -149,8 +137,6 @@ class GraphDescription:
                 parts.append("inputs=" + ",".join(l.inputs))
             for k in sorted(l.attrs):
                 parts.append(f"{k}={_format_attr(l.attrs[k])}")
-            if l.tap:
-                parts.append(f"tap={l.tap}")
             if l.block:
                 parts.append(f"block={l.block}")
             lines.append(" ".join(parts))
@@ -158,13 +144,24 @@ class GraphDescription:
 
     @classmethod
     def from_text(cls, text: str) -> "GraphDescription":
-        """Parse ``to_text`` output; malformed text raises DataError."""
+        """Parse ``to_text`` output; malformed text raises DataError.
+
+        A ``tap=<name>`` layer token, written by older versions, binds like a
+        ``tap <name> <layer>`` line; no tap may be bound to two layers.
+        """
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != "ICCGRAPH 1":
             raise DataError("not a graph description (missing 'ICCGRAPH 1' header)")
         ablation: str | None = None
         taps: dict[str, str] = {}
         layers: list[Layer] = []
+
+        def bind(tap: str, name: str) -> None:
+            if not tap:  # only a token can be empty; to_text would write an unreadable line
+                raise DataError(f"layer {name}: empty tap name")
+            if taps.setdefault(tap, name) != name:
+                raise DataError(f"tap {tap} is bound to two layers ({taps[tap]!r}, {name!r})")
+
         for ln in lines[1:]:
             fields = ln.split()
             if fields[0] not in _GRAPH_LINE_FIELDS:
@@ -174,13 +171,13 @@ class GraphDescription:
             if fields[0] == "ablation":
                 ablation = None if fields[1] == "none" else fields[1]
             elif fields[0] == "tap":
-                taps[fields[1]] = fields[2]
+                bind(fields[1], fields[2])
             else:
                 name = fields[1]
                 kind = ""
                 inputs: tuple[str, ...] = ()
                 attrs: dict = {}
-                tap = block = None
+                block = None
                 for tok in fields[2:]:
                     key, _, val = tok.partition("=")
                     if key == "kind":
@@ -188,12 +185,12 @@ class GraphDescription:
                     elif key == "inputs":
                         inputs = tuple(val.split(","))
                     elif key == "tap":
-                        tap = val
+                        bind(val, name)
                     elif key == "block":
                         block = val
                     else:
                         attrs[key] = _parse_attr(val)
-                layers.append(Layer(name, kind, inputs, attrs, tap, block))
+                layers.append(Layer(name, kind, inputs, attrs, block))
         earlier: set[str] = set()
         for l in layers:
             _check_layer(l, earlier)
@@ -231,6 +228,8 @@ def _check_layer(l: Layer, earlier: set[str]) -> None:
             raise DataError(f"layer {l.name}: kind {l.kind} has no attribute {key!r}")
         if type(value) is not t and not (t is float and type(value) is int):
             raise DataError(f"layer {l.name}: attribute {key}={value!r} is not {t.__name__}")
+        if t is float and not abs(value) <= sys.float_info.max:  # nan, inf, or an int past it
+            raise DataError(f"layer {l.name}: attribute {key}={value!r} is not a finite float")
     for src in l.reads():
         if src not in earlier:
             raise DataError(f"layer {l.name}: {src!r} names no earlier layer")
@@ -268,14 +267,14 @@ class _Builder:
     def w(self, c: int) -> int:
         return max(1, int(round(c * self.width_scale)))
 
-    def emit(self, name, kind, inputs=(), attrs=None, tap=None, block=None, channels=None):
-        self.layers.append(Layer(name, kind, tuple(inputs), dict(attrs or {}), tap, block))
+    def emit(self, name, kind, inputs=(), attrs=None, block=None, channels=None):
+        self.layers.append(Layer(name, kind, tuple(inputs), dict(attrs or {}), block))
         if channels is None and inputs:
             channels = self.channels[inputs[0]]
         self.channels[name] = channels
         return name
 
-    def conv(self, name, src, cout, k, stride=1, pad=None, bias=False, block=None, tap=None):
+    def conv(self, name, src, cout, k, stride=1, pad=None, bias=False, block=None):
         kh, kw = (k, k) if isinstance(k, int) else k
         if pad is None:
             pad = ((kh - 1) // 2, (kw - 1) // 2)
@@ -288,7 +287,6 @@ class _Builder:
             [src],
             dict(cin=cin, cout=cout, kh=kh, kw=kw, stride_h=sh, stride_w=sw,
                  pad_h=ph, pad_w=pw, bias=bias),
-            tap=tap,
             block=block,
             channels=cout,
         )
@@ -389,7 +387,7 @@ def _contextual_module(b: _Builder, src: str, scales: tuple[int, ...]) -> str:
 def build_icc(config: ModelConfig) -> GraphDescription:
     """Assemble the full counting network for the given configuration."""
     b = _Builder(config.width_scale)
-    b.emit("input", "input", (), dict(channels=config.in_channels), channels=config.in_channels)
+    b.emit("input", "input", (), dict(channels=IN_CHANNELS), channels=IN_CHANNELS)
 
     x = b.conv_bn_relu("stem.conv1", "input", b.w(32), 3, stride=2, block="stem.conv1")
     x = b.conv_bn_relu("stem.conv2", x, b.w(32), 3, block="stem.conv2")
@@ -404,7 +402,6 @@ def build_icc(config: ModelConfig) -> GraphDescription:
     feature1 = b.emit(
         "stem.pool2", "maxpool", [x],
         dict(window_h=3, window_w=3, stride_h=2, stride_w=2, pad_h=1, pad_w=1),
-        tap="Feature1",
         block="stem.pool2",
     )
 
@@ -412,7 +409,7 @@ def build_icc(config: ModelConfig) -> GraphDescription:
     fusion_inputs: list[str] = []
 
     if config.use_contextual_module:
-        fusion_inputs.append(_contextual_module(b, feature1, config.contextual_scales))
+        fusion_inputs.append(_contextual_module(b, feature1, CONTEXT_SCALES))
 
     if config.use_inception_blocks:
         a = _inception_a(b, "inception_a1", feature1, 32)
@@ -424,7 +421,7 @@ def build_icc(config: ModelConfig) -> GraphDescription:
         taps["Feature3"] = feature3
         f3_up = b.emit(
             "feature3_up", "interpolate", [feature3],
-            dict(method=config.feature3_upsample, factor=2),
+            dict(method="bilinear", factor=2),
         )
         fusion_inputs.extend([feature2, f3_up])
 
@@ -442,28 +439,18 @@ def build_icc(config: ModelConfig) -> GraphDescription:
         fused = fusion_inputs[0]
 
     x = fused
-    for i, cout in enumerate(config.decoder_channels):
+    for i, cout in enumerate(DECODER_CHANNELS):
         k = 1 if i == 0 else 3
         x = b.conv(f"decoder.conv{i + 1}", x, b.w(cout), k, bias=True)
         x = b.emit(f"decoder.relu{i + 1}", "relu", [x])
-    out = b.emit("density", "channel_sum", [x], tap="output", channels=1)
-    taps["output"] = out
-
-    # annotate taps on the layer records themselves for readability
-    layers = []
-    for l in b.layers:
-        tap = l.tap
-        for t, n in taps.items():
-            if n == l.name:
-                tap = t
-        layers.append(replace(l, tap=tap))
-    return GraphDescription(layers=layers, taps=taps, ablation=config.ablation)
+    taps["output"] = b.emit("density", "channel_sum", [x], channels=1)
+    return GraphDescription(layers=b.layers, taps=taps, ablation=config.ablation)
 
 
-def build_vgg16_frontend(in_channels: int = 3) -> GraphDescription:
+def build_vgg16_frontend() -> GraphDescription:
     """The 10-conv front end of a 16-layer VGG, for cost/size comparisons."""
     b = _Builder(1.0)
-    b.emit("input", "input", (), dict(channels=in_channels), channels=in_channels)
+    b.emit("input", "input", (), dict(channels=IN_CHANNELS), channels=IN_CHANNELS)
     plan = [(64, 2), (128, 2), (256, 3), (512, 3)]
     x = "input"
     for stage, (c, reps) in enumerate(plan, start=1):
@@ -853,17 +840,21 @@ def predict_density(
     """Run one [C, H, W] image through the net; returns the stride-8 map.
 
     The image is reflect-padded to a multiple of 32 and the output cropped
-    back to ceil(H/8) x ceil(W/8). An image the graph cannot take raises
-    DataError naming its size and the first layer it does not fit.
+    back to ceil(H/8) x ceil(W/8). An image the graph cannot take, or a graph
+    whose output is not a one-channel stride-8 map, raises DataError naming
+    the size or shape and the layer.
     """
     if image.ndim != 3:
         raise ShapeError(f"predict_density: image must be [C, H, W], got {image.shape}")
     h, w = image.shape[1:]
     c, hp, wp = padded_shape(image.shape)
     try:
-        infer_shapes(graph, (c, hp, wp))
+        shapes = infer_shapes(graph, (c, hp, wp))
     except ShapeError as e:
         raise DataError(f"a {h}x{w} image (padded to {hp}x{wp}) does not fit: {e}") from None
+    tap, map_shape = graph.taps["output"], (1, hp // OUTPUT_STRIDE, wp // OUTPUT_STRIDE)
+    if shapes[tap] != map_shape:
+        raise DataError(f"output tap {tap} gives {shapes[tap]}, not a {map_shape} density map")
     padded = pad_to_multiple(image)
     result = forward(graph, params, padded[None], mode="eval", requires_grad=False)
     out = result.output.data[0, 0]

@@ -19,6 +19,7 @@ from .errors import ConfigError, DataError, NumericError
 from .optim import AdamW
 
 PRED_MASS_FLOOR = 1e-8
+ABLATIONS = ("none", "no-context", "no-inception")
 
 
 @dataclass
@@ -36,7 +37,7 @@ class TrainConfig:
     seed: int = 0
     precision: int = 32
     width_scale: float = 1.0
-    ablation: str = "none"  # none | no-context | no-inception
+    ablation: str = "none"  # one of ABLATIONS
     train_dir: str = ""
     val_dir: str = ""
     out_dir: str = "runs/default"
@@ -63,16 +64,14 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.precision not in (32, 64):
             raise ConfigError(f"precision must be 32 or 64, got {self.precision}")
-        if self.ablation not in ("none", "no-context", "no-inception"):
+        if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
-        mc = self.model_config()
-        if mc.use_contextual_module:
-            needed = max(mc.contextual_scales) * M.OUTPUT_STRIDE
-            if self.crop_size < needed:
-                raise ConfigError(
-                    f"crop size {self.crop_size} too small for contextual scales "
-                    f"{mc.contextual_scales} (needs >= {needed})"
-                )
+        needed = max(M.CONTEXT_SCALES) * M.OUTPUT_STRIDE
+        if self.model_config().use_contextual_module and self.crop_size < needed:
+            raise ConfigError(
+                f"crop size {self.crop_size} too small for contextual scales "
+                f"{M.CONTEXT_SCALES} (needs >= {needed})"
+            )
 
     def model_config(self) -> M.ModelConfig:
         return M.ModelConfig(
@@ -96,9 +95,7 @@ class TrainConfig:
                 raise ConfigError(f"unknown config key {key!r}")
             current = getattr(self, key)
             try:
-                if isinstance(current, bool):
-                    values[key] = raw.lower() in ("1", "true", "yes")
-                elif isinstance(current, int):
+                if isinstance(current, int):
                     values[key] = int(raw)
                 elif isinstance(current, float):
                     values[key] = float(raw)

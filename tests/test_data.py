@@ -33,7 +33,7 @@ class TestDownsample:
         values = np.zeros((16, 16), dtype=np.float32)
         for y, x in [(0, 0), (3, 5), (9, 9)]:
             values[y, x] = 1.0
-        out = D.downsample_by_8(D.DensityMap(values, is_ground_truth=True))
+        out = D.downsample_by_8(D.DensityMap(values))
         assert np.array_equal(out.values, [[2.0, 0.0], [0.0, 1.0]])
 
     def test_all_zero(self):

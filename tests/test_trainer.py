@@ -338,9 +338,21 @@ class TestCLI:
         ("ICCGRAPH 1\ntap output ghost\nlayer input kind=input channels=3\n",
          "tap output names no layer"),
         ("ICCGRAPH 1\nablation none\nlayer input kind=input channels=3\n", "tap output"),
+        (f"{GRAPH_HEAD}tap output x\nlayer x kind=relu inputs=input\n",
+         "tap output is bound to two layers ('input', 'x')"),
+        (f"{GRAPH_HEAD}layer x kind=relu inputs=input tap=output\n",
+         "tap output is bound to two layers ('input', 'x')"),
+        (f"{GRAPH_HEAD}layer x kind=relu inputs=input tap=\n", "layer x: empty tap name"),
+        (f"{GRAPH_HEAD}layer x kind=scalar_add inputs=input value=nan\n",
+         "attribute value=nan is not a finite float"),
+        (f"{GRAPH_HEAD}layer x kind=scalar_add inputs=input value=-inf\n",
+         "attribute value=-inf is not a finite float"),
+        (f"{GRAPH_HEAD}layer x kind=scalar_add inputs=input value=1e999\n",
+         "attribute value=inf is not a finite float"),
     ], ids=["no-header", "ablation", "tap", "layer", "unknown-line", "unknown-kind",
             "missing-attr", "attr-type", "arity", "input-name", "match-name", "tap-name",
-            "no-output-tap"])
+            "no-output-tap", "tap-rebound", "tap-token-disagrees", "tap-token-empty", "value-nan",
+            "value-inf", "value-1e999"])
     def test_malformed_graph_exit_code(self, tmp_path, text, reason):
         ckpt = tmp_path / "model.iccw"
         save_checkpoint(ckpt, {"w": np.zeros(1, np.float32)})
@@ -380,6 +392,7 @@ class TestCLI:
         "image-16x16": "16x16 image (padded to 32x32) does not fit: context.s6.pool",
         "image-0x0": "0x0 image (padded to 0x0) does not fit: stem.conv1.conv",
         "float64-array": "1 not float32: decoder.conv1.b (float64)",
+        "output-not-map": "output tap stem.pool2 gives (48, 8, 8), not a (1, 8, 8) density map",
     }
 
     @pytest.mark.parametrize("case", list(MISMATCHES))
@@ -396,6 +409,8 @@ class TestCLI:
             params["decoder.conv1.b"] = np.zeros(5, np.float32)
         elif case == "float64-array":
             params["decoder.conv1.b"] = params["decoder.conv1.b"].astype(np.float64)
+        elif case == "output-not-map":
+            graph.taps["output"] = "stem.pool2"
         extent = {"image-16x16": 16, "image-0x0": 0}.get(case, 64)
         image = tmp_path / "scene.ppm"
         D.write_ppm(image, np.full((3, extent, extent), 0.5, np.float32))
