@@ -58,11 +58,14 @@ class ModelConfig:
     def __post_init__(self):
         if not 0 < self.width_scale < math.inf:
             raise ConfigError(f"width scale must be positive and finite, got {self.width_scale}")
+        if not (self.use_contextual_module or self.use_inception_blocks):
+            raise ConfigError(
+                "both context paths disabled (no contextual module, no inception blocks): "
+                "fusion input would be empty"
+            )
 
     @property
     def ablation(self) -> str | None:
-        if not self.use_contextual_module and not self.use_inception_blocks:
-            return "no-context+no-inception"
         if not self.use_contextual_module:
             return "no-context"
         if not self.use_inception_blocks:
@@ -291,6 +294,11 @@ class _Builder:
             channels=cout,
         )
 
+    def pool(self, name, kind, src, k, stride, pad, block=None):
+        """A k x k ``kind`` ("maxpool" or "avgpool") layer, one stride and pad on both axes."""
+        attrs = dict(window_h=k, window_w=k, stride_h=stride, stride_w=stride, pad_h=pad, pad_w=pad)
+        return self.emit(name, kind, [src], attrs, block=block)
+
     def conv_bn_relu(self, name, src, cout, k, stride=1, pad=None, block=None):
         c = self.conv(f"{name}.conv", src, cout, k, stride=stride, pad=pad, block=block)
         b = self.emit(f"{name}.bn", "batchnorm", [c], dict(channels=cout), block=block)
@@ -305,11 +313,7 @@ def _inception_a(b: _Builder, name: str, src: str, pool_features: int) -> str:
     b3 = b.conv_bn_relu(f"{name}.b3_1", src, b.w(64), 1, block=name)
     b3 = b.conv_bn_relu(f"{name}.b3_2", b3, b.w(96), 3, block=name)
     b3 = b.conv_bn_relu(f"{name}.b3_3", b3, b.w(96), 3, block=name)
-    pool = b.emit(
-        f"{name}.pool", "avgpool", [src],
-        dict(window_h=3, window_w=3, stride_h=1, stride_w=1, pad_h=1, pad_w=1),
-        block=name,
-    )
+    pool = b.pool(f"{name}.pool", "avgpool", src, 3, 1, 1, block=name)
     bp = b.conv_bn_relu(f"{name}.pool_proj", pool, b.w(pool_features), 1, block=name)
     out_c = sum(b.channels[x] for x in (b1, b5, b3, bp))
     return b.emit(f"{name}.concat", "concat", [b1, b5, b3, bp], block=name, channels=out_c)
@@ -321,11 +325,7 @@ def _inception_b_reduction(b: _Builder, name: str, src: str) -> str:
     db = b.conv_bn_relu(f"{name}.db_1", src, b.w(64), 1, block=name)
     db = b.conv_bn_relu(f"{name}.db_2", db, b.w(96), 3, block=name)
     db = b.conv_bn_relu(f"{name}.db_3", db, b.w(96), 3, stride=2, block=name)
-    pool = b.emit(
-        f"{name}.pool", "maxpool", [src],
-        dict(window_h=3, window_w=3, stride_h=2, stride_w=2, pad_h=1, pad_w=1),
-        block=name,
-    )
+    pool = b.pool(f"{name}.pool", "maxpool", src, 3, 2, 1, block=name)
     out_c = sum(b.channels[x] for x in (b3, db, pool))
     return b.emit(f"{name}.concat", "concat", [b3, db, pool], block=name, channels=out_c)
 
@@ -341,11 +341,7 @@ def _inception_c(b: _Builder, name: str, src: str, c7: int = 128) -> str:
     db = b.conv_bn_relu(f"{name}.db_3", db, b.w(c7), (1, 7), block=name)
     db = b.conv_bn_relu(f"{name}.db_4", db, b.w(c7), (7, 1), block=name)
     db = b.conv_bn_relu(f"{name}.db_5", db, b.w(192), (1, 7), block=name)
-    pool = b.emit(
-        f"{name}.pool", "avgpool", [src],
-        dict(window_h=3, window_w=3, stride_h=1, stride_w=1, pad_h=1, pad_w=1),
-        block=name,
-    )
+    pool = b.pool(f"{name}.pool", "avgpool", src, 3, 1, 1, block=name)
     bp = b.conv_bn_relu(f"{name}.pool_proj", pool, b.w(192), 1, block=name)
     out_c = sum(b.channels[x] for x in (b1, b7, db, bp))
     return b.emit(f"{name}.concat", "concat", [b1, b7, db, bp], block=name, channels=out_c)
@@ -392,18 +388,10 @@ def build_icc(config: ModelConfig) -> GraphDescription:
     x = b.conv_bn_relu("stem.conv1", "input", b.w(32), 3, stride=2, block="stem.conv1")
     x = b.conv_bn_relu("stem.conv2", x, b.w(32), 3, block="stem.conv2")
     x = b.conv_bn_relu("stem.conv3", x, b.w(64), 3, block="stem.conv3")
-    x = b.emit(
-        "stem.pool1", "maxpool", [x],
-        dict(window_h=3, window_w=3, stride_h=2, stride_w=2, pad_h=1, pad_w=1),
-        block="stem.pool1",
-    )
+    x = b.pool("stem.pool1", "maxpool", x, 3, 2, 1, block="stem.pool1")
     x = b.conv_bn_relu("stem.conv4", x, b.w(80), 1, block="stem.conv4")
     x = b.conv_bn_relu("stem.conv5", x, b.w(192), 3, block="stem.conv5")
-    feature1 = b.emit(
-        "stem.pool2", "maxpool", [x],
-        dict(window_h=3, window_w=3, stride_h=2, stride_w=2, pad_h=1, pad_w=1),
-        block="stem.pool2",
-    )
+    feature1 = b.pool("stem.pool2", "maxpool", x, 3, 2, 1, block="stem.pool2")
 
     taps = {"Feature1": feature1}
     fusion_inputs: list[str] = []
@@ -425,11 +413,6 @@ def build_icc(config: ModelConfig) -> GraphDescription:
         )
         fusion_inputs.extend([feature2, f3_up])
 
-    if not fusion_inputs:
-        raise ConfigError(
-            "both context paths disabled (no contextual module, no inception blocks): "
-            "fusion input would be empty"
-        )
     if len(fusion_inputs) > 1:
         fused = b.emit(
             "fusion", "concat", fusion_inputs,
@@ -458,10 +441,7 @@ def build_vgg16_frontend() -> GraphDescription:
             x = b.conv(f"conv{stage}_{r}", x, c, 3, bias=True)
             x = b.emit(f"relu{stage}_{r}", "relu", [x])
         if stage < len(plan):
-            x = b.emit(
-                f"pool{stage}", "maxpool", [x],
-                dict(window_h=2, window_w=2, stride_h=2, stride_w=2, pad_h=0, pad_w=0),
-            )
+            x = b.pool(f"pool{stage}", "maxpool", x, 2, 2, 0)
     return GraphDescription(layers=b.layers, taps={"output": x}, ablation=None)
 
 
@@ -517,12 +497,9 @@ def init_parameters(graph: GraphDescription, seed: int, dtype=None) -> dict[str,
     return params
 
 
-def parameter_count(graph: GraphDescription, trainable_only: bool = True) -> int:
-    return sum(
-        int(np.prod(s.shape))
-        for s in graph.parameters()
-        if s.trainable or not trainable_only
-    )
+def parameter_count(graph: GraphDescription) -> int:
+    """Number of trainable parameter values."""
+    return sum(int(np.prod(s.shape)) for s in graph.parameters() if s.trainable)
 
 
 # -- layer kinds ----------------------------------------------------------------
@@ -555,13 +532,6 @@ def count_conv(
     return outputs * k, outputs * (k - 1 + (1 if bias else 0))
 
 
-def _window_out(extent: int, window: int, stride: int, pad: int, dim: str) -> int:
-    padded = extent + 2 * pad
-    if window > padded or window < 1 or stride < 1 or pad < 0:
-        raise ShapeError(f"window {window} stride {stride} invalid for padded {padded} ({dim})")
-    return (padded - window) // stride + 1
-
-
 def _same_shape(a, ins):
     if any(s != ins[0] for s in ins[1:]):
         raise ShapeError(f"input shapes differ: {ins}")
@@ -578,14 +548,14 @@ def _conv_shape(a, ins):
     c, h, w = ins[0]
     if c != a["cin"] or a["cout"] < 1:
         raise ShapeError(f"{a['cin']} -> {a['cout']} channels does not fit {c} input channels")
-    return (a["cout"], _window_out(h, a["kh"], a["stride_h"], a["pad_h"], "height"),
-            _window_out(w, a["kw"], a["stride_w"], a["pad_w"], "width"))
+    return (a["cout"], T.window_out(h, a["kh"], a["stride_h"], a["pad_h"], "height"),
+            T.window_out(w, a["kw"], a["stride_w"], a["pad_w"], "width"))
 
 
 def _pool_shape(a, ins):
     c, h, w = ins[0]
-    return (c, _window_out(h, a["window_h"], a["stride_h"], a["pad_h"], "height"),
-            _window_out(w, a["window_w"], a["stride_w"], a["pad_w"], "width"))
+    return (c, T.window_out(h, a["window_h"], a["stride_h"], a["pad_h"], "height"),
+            T.window_out(w, a["window_w"], a["stride_w"], a["pad_w"], "width"))
 
 
 def _adaptive_shape(a, ins):

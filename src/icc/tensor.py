@@ -20,8 +20,10 @@ conv is a single matmul over the input, with no columns); its backward walks
 the same bands again and fills each band's columns anew, so no column matrix
 is held between the forward and the backward pass. Pooling reduces shifted
 strided views of the padded input, and its backward adds into the same
-views. Bilinear and nearest resizing and adaptive average pooling are
-separable linear maps, Rh·x·Rwᵀ, with the adjoint Rhᵀ·g·Rw as backward.
+views. Conv and pooling share one window rule, ``window_out``, which shape
+inference in ``icc.model`` uses too, and one set of offset views. Bilinear
+and nearest resizing and adaptive average pooling are separable linear
+maps, Rh·x·Rwᵀ, with the adjoint Rhᵀ·g·Rw as backward.
 """
 
 from __future__ import annotations
@@ -292,24 +294,58 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward, "sigmoid")
 
 
-# -- convolution ------------------------------------------------------------
+# -- window geometry --------------------------------------------------------
 
 
-def _conv_out_extent(extent: int, k: int, stride: int, pad: int, dim: str) -> int:
+def window_out(extent: int, window: int, stride: int, pad: int, dim: str) -> int:
+    """Output extent of ``window`` sliding by ``stride`` over ``extent`` padded
+    by ``pad`` on both sides; ShapeError naming ``dim`` for a bad geometry."""
     padded = extent + 2 * pad
-    if k > padded:
-        raise ShapeError(f"conv2d: kernel {k} exceeds padded input extent {padded} along {dim}")
-    return (padded - k) // stride + 1
+    if window < 1:
+        raise ShapeError(f"empty window {window} along {dim}")
+    if stride < 1:
+        raise ShapeError(f"stride must be positive, got {stride} along {dim}")
+    if pad < 0:
+        raise ShapeError(f"padding must be non-negative, got {pad} along {dim}")
+    if window > padded:
+        raise ShapeError(f"window {window} exceeds padded extent {padded} along {dim}")
+    return (padded - window) // stride + 1
 
 
-def _offset_views(a: np.ndarray, r0: int, r: int, kh, kw, sh, sw, wo):
-    """(kernel row, kernel column, view) for each kernel offset: the strided
-    view of one padded sample ``a`` [C, Hp, Wp] that the offset reads for output
-    rows r0 .. r0 + r - 1."""
-    for i in range(kh):
-        top = i + sh * r0
-        for j in range(kw):
-            yield i, j, a[:, top : top + sh * r : sh, j : j + sw * wo : sw]
+def _window(op: str, x: Tensor, window, stride, padding):
+    """(wh, ww, sh, sw, ph, pw, ho, wo) of ``op``'s window over the NCHW ``x``."""
+    if x.ndim != 4:
+        raise ShapeError(f"{op}: input must be 4-D NCHW, got {x.ndim}-D")
+    wh, ww = _as_pair(window, "window")
+    sh, sw = _as_pair(stride, "stride")
+    ph, pw = _as_pair(padding, "padding")
+    try:
+        ho = window_out(x.shape[2], wh, sh, ph, "height (dim 2)")
+        wo = window_out(x.shape[3], ww, sw, pw, "width (dim 3)")
+    except ShapeError as e:
+        raise ShapeError(f"{op}: {e}") from None
+    return wh, ww, sh, sw, ph, pw, ho, wo
+
+
+def _padded(a: np.ndarray, ph: int, pw: int, fill: float = 0.0) -> np.ndarray:
+    """``a`` with ``ph`` rows and ``pw`` columns of ``fill`` around its trailing
+    axes (``a`` itself when unpadded)."""
+    if not (ph or pw):
+        return a
+    return np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
+
+
+def _window_views(a: np.ndarray, wh, ww, sh, sw, ho, wo) -> list:
+    """For each window offset in row-major order, the strided view of ``a``'s
+    two trailing axes that the ho x wo windows read at that offset."""
+    return [
+        a[..., i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw]
+        for i in range(wh)
+        for j in range(ww)
+    ]
+
+
+# -- convolution ------------------------------------------------------------
 
 
 def _conv_bands(xp: np.ndarray, kh, kw, sh, sw, ho, wo):
@@ -327,9 +363,9 @@ def _conv_bands(xp: np.ndarray, kh, kw, sh, sw, ho, wo):
     for s in range(n):
         for r0 in range(0, ho, band):
             r = min(band, ho - r0)
-            cols = buf[: k * r * wo].reshape(c, kh, kw, r, wo)
-            for i, j, view in _offset_views(xp[s], r0, r, kh, kw, sh, sw, wo):
-                cols[:, i, j] = view
+            cols = buf[: k * r * wo].reshape(c, kh * kw, r, wo)
+            for o, view in enumerate(_window_views(xp[s, :, sh * r0 :], kh, kw, sh, sw, r, wo)):
+                cols[:, o] = view
             yield s, r0, r, cols.reshape(k, r * wo)
 
 
@@ -339,24 +375,15 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
     ``weight`` has shape [Cout, Cin, kh, kw]; zero padding, integer strides.
     """
     x, weight = _coerce(x), _coerce(weight)
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d: input must be 4-D NCHW, got {x.ndim}-D")
     if weight.ndim != 4:
         raise ShapeError(f"conv2d: kernel must be 4-D, got {weight.ndim}-D")
+    kh, kw, sh, sw, ph, pw, ho, wo = _window("conv2d", x, weight.shape[2:], stride, padding)
     n, cin, h, w = x.shape
-    cout, cin_k, kh, kw = weight.shape
+    cout, cin_k = weight.shape[:2]
     if cin != cin_k:
         raise ShapeError(
             f"conv2d: input channels {cin} != kernel input channels {cin_k} (dim 1)"
         )
-    sh, sw = _as_pair(stride, "stride")
-    ph, pw = _as_pair(padding, "padding")
-    if sh < 1 or sw < 1:
-        raise ShapeError(f"conv2d: stride must be positive, got {(sh, sw)}")
-    if ph < 0 or pw < 0:
-        raise ShapeError(f"conv2d: padding must be non-negative, got {(ph, pw)}")
-    ho = _conv_out_extent(h, kh, sh, ph, "height (dim 2)")
-    wo = _conv_out_extent(w, kw, sw, pw, "width (dim 3)")
     b = None
     if bias is not None:
         b = _coerce(bias)
@@ -369,14 +396,11 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
     pointwise = kh == kw == sh == sw == 1 and ph == pw == 0
     geometry = (kh, kw, sh, sw, ho, wo)
 
-    def padded():
-        return np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x.data
-
     if pointwise:
         out = np.matmul(wmat, x.data.reshape(n, cin, h * w))
     else:
         out = np.empty((n, cout, ho * wo), np.result_type(x.data, wmat))
-        for s, r0, r, cols in _conv_bands(padded(), *geometry):
+        for s, r0, r, cols in _conv_bands(_padded(x.data, ph, pw), *geometry):
             np.matmul(wmat, cols, out=out[s, :, r0 * wo : (r0 + r) * wo])
     out_data = out.reshape(n, cout, ho, wo)
     if b is not None:
@@ -394,9 +418,9 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
             if x.requires_grad:
                 _accumulate(x, np.matmul(wmat.T, gmat).reshape(x.shape))
             return
-        # Each band's columns are filled again here rather than kept from the
-        # forward pass, so a step never holds a whole column matrix.
-        xp = padded()
+        # The input is padded and each band's columns filled again here rather
+        # than kept from the forward pass, so a step holds neither for long.
+        xp = _padded(x.data, ph, pw)
         gw = np.zeros(wmat.shape, g.dtype)
         gxp = np.zeros(xp.shape, g.dtype) if x.requires_grad else None
         for s, r0, r, cols in _conv_bands(xp, *geometry):
@@ -404,9 +428,10 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
             if weight.requires_grad:
                 gw += gband @ cols.T
             if gxp is not None:
-                gcols = (wmat.T @ gband).reshape(cin, kh, kw, r, wo)
-                for i, j, view in _offset_views(gxp[s], r0, r, kh, kw, sh, sw, wo):
-                    view += gcols[:, i, j]
+                gcols = (wmat.T @ gband).reshape(cin, kh * kw, r, wo)
+                views = _window_views(gxp[s, :, sh * r0 :], kh, kw, sh, sw, r, wo)
+                for o, view in enumerate(views):
+                    view += gcols[:, o]
         _accumulate(weight, gw.reshape(weight.shape))
         if gxp is not None:
             _accumulate(x, gxp[:, :, ph : ph + h, pw : pw + w])
@@ -434,26 +459,6 @@ def separable_conv2d(x, kernel_v, kernel_h, stride=1, padding=(0, 0), bias=None)
 # -- pooling ----------------------------------------------------------------
 
 
-def _pool_prepare(x: Tensor, window, stride, padding, fill: float):
-    """The input padded with ``fill`` (the input itself when unpadded) and the geometry."""
-    n, c, h, w = x.shape
-    wh, ww = _as_pair(window, "window")
-    sh, sw = _as_pair(stride, "stride")
-    ph, pw = _as_pair(padding, "padding")
-    if wh < 1 or ww < 1:
-        raise ShapeError(f"pool: empty window {(wh, ww)}")
-    if sh < 1 or sw < 1:
-        raise ShapeError(f"pool: stride must be positive, got {(sh, sw)}")
-    if wh > h + 2 * ph or ww > w + 2 * pw:
-        raise ShapeError(
-            f"pool: window {(wh, ww)} exceeds padded extent {(h + 2 * ph, w + 2 * pw)}"
-        )
-    xp = x.data
-    if ph or pw:
-        xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
-    return xp, (wh, ww, sh, sw, ph, pw)
-
-
 def _fold(views: list, reduce) -> np.ndarray:
     """``reduce`` over ``views`` left to right, into one fresh array."""
     if len(views) == 1:
@@ -464,36 +469,23 @@ def _fold(views: list, reduce) -> np.ndarray:
     return acc
 
 
-def _pool_shifted(xp: np.ndarray, wh, ww, sh, sw, reduce) -> np.ndarray:
-    """Each window reduced over shifted strided views of ``xp``: along H, then W."""
-    ho = (xp.shape[2] - wh) // sh + 1
-    wo = (xp.shape[3] - ww) // sw + 1
-    rows = _fold([xp[:, :, a : a + sh * (ho - 1) + 1 : sh] for a in range(wh)], reduce)
-    return _fold([rows[:, :, :, j : j + sw * (wo - 1) + 1 : sw] for j in range(ww)], reduce)
-
-
-def _window_views(a: np.ndarray, wh, ww, sh, sw, ho, wo) -> list:
-    """The strided view of ``a`` at each window offset, in row-major offset order."""
-    return [
-        a[:, :, i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw]
-        for i in range(wh)
-        for j in range(ww)
-    ]
+def _pool_shifted(xp: np.ndarray, wh, ww, sh, sw, ho, wo, reduce) -> np.ndarray:
+    """Each window of ``xp`` reduced as a wh x 1 window, then a 1 x ww one."""
+    rows = _fold(_window_views(xp, wh, 1, sh, 1, ho, xp.shape[3]), reduce)
+    return _fold(_window_views(rows, 1, ww, 1, sw, ho, wo), reduce)
 
 
 def maxpool2d(x, window, stride=None, padding=0) -> Tensor:
     x = _coerce(x)
-    if x.ndim != 4:
-        raise ShapeError(f"maxpool2d: input must be 4-D NCHW, got {x.ndim}-D")
-    if stride is None:
-        stride = window
-    xp, (wh, ww, sh, sw, ph, pw) = _pool_prepare(x, window, stride, padding, -np.inf)
-    out_data = _pool_shifted(xp, wh, ww, sh, sw, np.maximum)
+    stride = window if stride is None else stride
+    wh, ww, sh, sw, ph, pw, ho, wo = _window("maxpool2d", x, window, stride, padding)
+    xp = _padded(x.data, ph, pw, -np.inf)
+    out_data = _pool_shifted(xp, wh, ww, sh, sw, ho, wo, np.maximum)
 
     def backward(g):
         if not x.requires_grad:
             return
-        geometry = (wh, ww, sh, sw) + out_data.shape[2:]
+        geometry = (wh, ww, sh, sw, ho, wo)
         # The gradient goes to each window's first maximum in row-major order.
         taken = np.zeros(out_data.shape, bool)
         firsts = []
@@ -514,20 +506,19 @@ def maxpool2d(x, window, stride=None, padding=0) -> Tensor:
 def avgpool2d(x, window, stride=None, padding=0) -> Tensor:
     """Mean pooling; zero padding counts toward the window size."""
     x = _coerce(x)
-    if x.ndim != 4:
-        raise ShapeError(f"avgpool2d: input must be 4-D NCHW, got {x.ndim}-D")
-    if stride is None:
-        stride = window
-    xp, (wh, ww, sh, sw, ph, pw) = _pool_prepare(x, window, stride, padding, 0.0)
-    out_data = _pool_shifted(xp, wh, ww, sh, sw, np.add)
+    stride = window if stride is None else stride
+    wh, ww, sh, sw, ph, pw, ho, wo = _window("avgpool2d", x, window, stride, padding)
+    xp = _padded(x.data, ph, pw)
+    out_data = _pool_shifted(xp, wh, ww, sh, sw, ho, wo, np.add)
     out_data /= wh * ww
+    padded_shape = xp.shape  # the backward keeps the shape, not the padded copy
 
     def backward(g):
         if not x.requires_grad:
             return
-        gp = np.zeros(xp.shape, g.dtype)
+        gp = np.zeros(padded_shape, g.dtype)
         share = g / (wh * ww)
-        for view in _window_views(gp, wh, ww, sh, sw, *g.shape[2:]):
+        for view in _window_views(gp, wh, ww, sh, sw, ho, wo):
             view += share
         _accumulate(x, gp[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]])
 

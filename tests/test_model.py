@@ -286,9 +286,8 @@ class TestAblations:
         assert run.output.shape == (1, 1, 8, 8)
 
     def test_both_paths_disabled_rejected(self):
-        cfg = M.ModelConfig(use_contextual_module=False, use_inception_blocks=False)
         with pytest.raises(ConfigError, match="fusion"):
-            M.build_icc(cfg)
+            M.build_icc(M.ModelConfig(use_contextual_module=False, use_inception_blocks=False))
 
     def test_config_validation(self):
         for width in (0.0, float("nan"), float("inf")):

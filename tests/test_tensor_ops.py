@@ -12,6 +12,7 @@ from conftest import (
     nearest_loop,
     pool_loop,
 )
+from icc import model as M
 from icc import tensor as T
 from icc.errors import NumericError, ShapeError
 
@@ -147,6 +148,87 @@ class TestPooling:
         for oh, ow in [(3, 2), (6, 6), (11, 1), (4, 7)]:
             out = T.adaptive_avgpool2d(t64(x), oh, ow)
             assert np.abs(out.data - adaptive_avgpool_loop(x, oh, ow)).max() <= 1e-12
+
+
+# (window, stride, padding, axis the error names) over a 4x5 input
+BAD_GEOMETRY = {
+    "empty-window": ((0, 2), (1, 1), (0, 0), "height"),
+    "zero-stride": ((2, 2), (1, 0), (0, 0), "width"),
+    "negative-padding": ((2, 2), (1, 1), (-1, 0), "height"),
+    "window-past-padded-extent": ((2, 6), (1, 1), (0, 0), "width"),
+}
+
+
+def _kernel(cin: int, window) -> np.ndarray:
+    return np.random.default_rng(23).normal(size=(2, cin) + tuple(window))
+
+
+def _windowed(op: str, x, window, stride, padding):
+    """``op`` ("conv2d", "maxpool2d" or "avgpool2d") over ``x`` with the given window."""
+    if op == "conv2d":
+        return T.conv2d(x, t64(_kernel(x.shape[1], window)), stride=stride, padding=padding)
+    return getattr(T, op)(x, window, stride, padding=padding)
+
+
+class TestWindowGeometry:
+    @pytest.mark.parametrize("case", BAD_GEOMETRY)
+    @pytest.mark.parametrize("op", ["conv2d", "maxpool2d", "avgpool2d"])
+    def test_bad_geometry_names_op_and_axis(self, op, case):
+        window, stride, padding, axis = BAD_GEOMETRY[case]
+        with pytest.raises(ShapeError, match=rf"^{op}: .*along {axis}"):
+            _windowed(op, t64(np.ones((1, 1, 4, 5))), window, stride, padding)
+
+    @pytest.mark.parametrize("case", BAD_GEOMETRY)
+    def test_shape_inference_refuses_conv_and_pool_alike(self, case):
+        (wh, ww), (sh, sw), (ph, pw), axis = BAD_GEOMETRY[case]
+        geometry = dict(stride_h=sh, stride_w=sw, pad_h=ph, pad_w=pw)
+        layers = {
+            "conv": dict(cin=1, cout=1, kh=wh, kw=ww, **geometry),
+            "maxpool": dict(window_h=wh, window_w=ww, **geometry),
+        }
+        messages = []
+        for kind, attrs in layers.items():
+            graph = M.GraphDescription(
+                layers=[M.Layer("input", "input", (), {"channels": 1}),
+                        M.Layer("bad", kind, ("input",), attrs)],
+                taps={"output": "bad"},
+            )
+            with pytest.raises(ShapeError, match=f"^bad: .*along {axis}") as err:
+                M.infer_shapes(graph, (1, 4, 5))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        extent=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        window=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        padding=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    )
+    def test_one_rule_for_inference_and_execution(self, extent, window, stride, padding):
+        try:
+            out = tuple(T.window_out(*geometry, "axis")
+                        for geometry in zip(extent, window, stride, padding))
+        except ShapeError:
+            out = None
+        x = np.random.default_rng(29).normal(size=(1, 2) + extent)
+        for op in ("conv2d", "maxpool2d", "avgpool2d"):
+            if out is None:
+                with pytest.raises(ShapeError):
+                    _windowed(op, t64(x), window, stride, padding)
+                continue
+            if op == "conv2d":
+                ref = conv2d_loop(x, _kernel(2, window), stride, padding)
+            else:
+                ref = pool_loop(x, window, stride, padding, op[:3])
+            assert ref.shape[2:] == out
+            if np.isneginf(ref).any():  # a max window wholly inside the padding
+                with pytest.raises(NumericError):
+                    _windowed(op, t64(x), window, stride, padding)
+                continue
+            got = _windowed(op, t64(x), window, stride, padding)
+            assert got.shape[2:] == out
+            assert np.abs(got.data - ref).max() <= 1e-12
 
 
 class TestBatchNorm:
