@@ -8,7 +8,6 @@ PPM (P6) images, ICCPTS point annotations, ICCD density maps.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,12 +117,6 @@ def normalize(image: np.ndarray) -> np.ndarray:
     return (image - mean) / std
 
 
-def denormalize(image: np.ndarray) -> np.ndarray:
-    mean = NORM_MEAN.reshape(3, 1, 1).astype(image.dtype)
-    std = NORM_STD.reshape(3, 1, 1).astype(image.dtype)
-    return image * std + mean
-
-
 # -- synthetic scenes --------------------------------------------------------
 
 
@@ -190,23 +183,6 @@ def _bilinear_grid(coarse: np.ndarray, h: int, w: int) -> np.ndarray:
         + coarse[np.ix_(y0, x1)] * (1 - fy) * fx
         + coarse[np.ix_(y1, x1)] * fy * fx
     )
-
-
-def image_digest(image: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(image).tobytes()).hexdigest()
-
-
-def smooth_for_display(dmap: DensityMap | np.ndarray, sigma: float = 20.0) -> np.ndarray:
-    """Gaussian-smoothed copy of a density map, for visualization only.
-
-    Training never smooths targets; this exists to render sparse binary maps
-    as the usual heatmaps. Mass is approximately preserved (truncated
-    separable kernel, reflected borders).
-    """
-    from scipy.ndimage import gaussian_filter
-
-    values = np.asarray(getattr(dmap, "values", dmap), dtype=np.float64)
-    return gaussian_filter(values, sigma=sigma, mode="reflect")
 
 
 # -- PPM (P6) -----------------------------------------------------------------
@@ -334,11 +310,6 @@ def read_grid(path) -> np.ndarray:
 
 def read_density(path) -> DensityMap:
     return DensityMap(read_grid(path))
-
-
-def density_to_csv(dmap: DensityMap | np.ndarray) -> str:
-    values = np.asarray(getattr(dmap, "values", dmap))
-    return "\n".join(",".join(repr(float(v)) for v in row) for row in values) + "\n"
 
 
 # -- dataset directories ----------------------------------------------------------

@@ -7,15 +7,18 @@ Sinkhorn-Knopp scaling. Gradients with respect to the prediction come from
 the dual potential of the prediction-side marginal pushed through the
 normalization Jacobian.
 
-Each Sinkhorn half-step applies a log-kernel operator, ``LSE_j(-C_ij/eps +
-v_j)``, in one of two forms:
+A problem's cost is either an n x n matrix or the (h, w) of a grid, whose
+cost ``C = Dr (+) Dc`` is the sum of two 1-D squared line distances. Each
+Sinkhorn half-step applies a log-kernel operator, ``LSE_j(-C_ij/eps + v_j)``,
+in the matching form:
 
-- dense, for an arbitrary n x n cost: the reference, O(n^2) per application;
-- grid-separable, for the squared-Euclidean cost of an h x w grid (the cost
-  ``ot_loss`` builds): ``C = dr^2 + dc^2`` splits, so the operator is an LSE
-  over columns with the w x w 1-D kernel, then one over rows with the h x h
+- dense, for an arbitrary cost matrix: the reference, O(n^2) per application;
+- grid-separable, for a grid (the problem ``ot_loss`` poses): an LSE over
+  columns with the w x w 1-D kernel, then one over rows with the h x h
   kernel, O(hw(h+w)). This is the convolutional Wasserstein kernel of
-  Solomon et al. (SIGGRAPH 2015).
+  Solomon et al. (SIGGRAPH 2015). No n x n cost is ever built for a grid:
+  the plan is formed from the two 1-D kernels, and ``<pi, C>`` is the plan's
+  row-to-row and column-to-column mass priced by ``Dr`` and ``Dc``.
 
 Convergence is tested from the duals, without forming the plan: the row
 marginal is ``exp(f/eps + S)``, where S is the LSE the next f-update needs,
@@ -43,29 +46,31 @@ MASS_TOL = 1e-9
 class TransportProblem:
     """Entropic OT instance between two probability vectors of equal length.
 
-    ``grid`` is the (h, w) shape of a grid whose squared-Euclidean cost is
-    ``cost``; when set, the solver uses the separable log-kernel.
+    ``cost`` is the n x n cost matrix, or the (h, w) of a grid with h * w == n
+    whose cost is the squared Euclidean distance between its cells; a grid is
+    solved with the separable log-kernel.
     """
 
     p: np.ndarray
     q: np.ndarray
-    cost: np.ndarray
+    cost: np.ndarray | tuple[int, int]
     epsilon: float
     max_iters: int = 200
     tolerance: float = 1e-6
-    grid: tuple[int, int] | None = None
 
     def validate(self) -> None:
         p, q, c = self.p, self.q, self.cost
         n = p.shape[0]
         if p.ndim != 1 or q.ndim != 1 or q.shape[0] != n:
             raise ShapeError(f"transport: p/q must be equal-length vectors, got {p.shape}, {q.shape}")
-        if c.shape != (n, n):
+        if isinstance(c, tuple):
+            h, w = c
+            if h < 1 or w < 1 or h * w != n:
+                raise ShapeError(f"transport: grid {h}x{w} needs positive extents and {n} cells")
+        elif c.shape != (n, n):
             raise ShapeError(f"transport: cost must be {n}x{n}, got {c.shape}")
-        if self.grid is not None:
-            h, w = self.grid
-            if h * w != n or not np.array_equal(c, grid_cost_matrix(h, w)):
-                raise ShapeError(f"transport: cost is not the {h}x{w} grid cost")
+        elif not np.all(np.isfinite(c)):
+            raise NumericError("transport: non-finite cost matrix")
         if self.epsilon <= 0:
             raise ValueError(f"transport: epsilon must be positive, got {self.epsilon}")
         if self.max_iters < 1:
@@ -76,8 +81,6 @@ class TransportProblem:
             raise ZeroMassError(
                 f"transport: marginals must sum to 1 (got {p.sum():.12f}, {q.sum():.12f})"
             )
-        if not np.all(np.isfinite(c)):
-            raise NumericError("transport: non-finite cost matrix")
 
 
 @dataclass
@@ -104,11 +107,13 @@ def _lse(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _grid_kernel(h: int, w: int, eps: float):
-    """The separable operator v -> LSE_j(-C_ij/eps + v_j) of the h x w grid cost.
+    """Row and column log-kernel operators v -> LSE_j(-C_ij/eps + v_j) of the
+    h x w grid cost, and (u, v) -> (plan, <plan, C>).
 
     The cost is symmetric, so the same operator serves both half-steps.
     """
-    kh, kw = -_line_cost(h) / eps, -_line_cost(w) / eps
+    dr, dc = _line_cost(h), _line_cost(w)
+    kh, kw = -dr / eps, -dc / eps
 
     def apply(v: np.ndarray) -> np.ndarray:
         # x[c, b] = LSE_d(v[c, d] + kw[d, b]), then out[a, b] = LSE_c(kh[c, a] +
@@ -116,13 +121,33 @@ def _grid_kernel(h: int, w: int, eps: float):
         # times faster than an inner one at these sizes.
         x = _lse(v.reshape(h, w).T[:, :, None] + kw[:, None, :], axis=0)
         return _lse(kh[:, :, None] + x[:, None, :], axis=0).reshape(-1)
-    return apply, apply
+
+    def plan_cost(u: np.ndarray, v: np.ndarray):
+        # plan[a, b, c, d] = exp(kh[a, c] + kw[b, d] + u[a, b] + v[c, d]) in one
+        # buffer; <plan, C> prices row-to-row mass by dr, column-to-column by dc
+        plan4 = np.add(kh[:, None, :, None], kw[None, :, None, :])
+        plan = plan4.reshape(h * w, h * w)
+        plan += u[:, None]
+        plan += v
+        np.exp(plan, out=plan)
+        cost = (plan4.sum(axis=(1, 3)) * dr).sum() + (plan4.sum(axis=(0, 2)) * dc).sum()
+        return plan, float(cost)
+
+    return apply, apply, plan_cost
 
 
-def _dense_kernel(neg_c: np.ndarray):
-    """Row and column log-kernel operators of an arbitrary cost (-C/eps given)."""
+def _dense_kernel(c: np.ndarray, eps: float):
+    """Row and column log-kernel operators of an arbitrary cost, and
+    (u, v) -> (plan, <plan, C>)."""
+    neg_c = -c / eps
+
+    def plan_cost(u: np.ndarray, v: np.ndarray):
+        plan = np.exp(neg_c + u[:, None] + v)
+        return plan, float((plan * c).sum())
+
     return (lambda v: _lse(neg_c + v, axis=1),
-            lambda u: _lse(neg_c + u[:, None], axis=0))
+            lambda u: _lse(neg_c + u[:, None], axis=0),
+            plan_cost)
 
 
 def sinkhorn(problem: TransportProblem) -> TransportPlan:
@@ -137,13 +162,11 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
     problem.validate()
     p = problem.p.astype(np.float64)
     q = problem.q.astype(np.float64)
-    c = problem.cost.astype(np.float64)
     eps = float(problem.epsilon)
-    neg_c = -c / eps
-    if problem.grid is not None:
-        row_lse, col_lse = _grid_kernel(*problem.grid, eps)
+    if isinstance(problem.cost, tuple):
+        row_lse, col_lse, plan_cost = _grid_kernel(*problem.cost, eps)
     else:
-        row_lse, col_lse = _dense_kernel(neg_c)
+        row_lse, col_lse, plan_cost = _dense_kernel(problem.cost.astype(np.float64), eps)
 
     # log(0) = -inf is meant: zero-mass cells and empty grid rows
     with np.errstate(divide="ignore"):
@@ -164,9 +187,8 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
             if err <= problem.tolerance:
                 break
 
-    plan = np.exp(neg_c + u[:, None] + v)
+    plan, cost = plan_cost(u, v)
     f, g = eps * u, eps * v
-    cost = float((plan * c).sum())
     fp = np.where(np.isfinite(f), f, 0.0)
     gq = np.where(np.isfinite(g), g, 0.0)
     entropic = float(fp @ p + gq @ q - eps * plan.sum())
@@ -236,7 +258,7 @@ def ot_loss(
 ) -> OTLossResult:
     """Transport loss between normalized density maps on their pixel grid.
 
-    ``epsilon`` defaults to 0.01 * mean of the cost matrix. Raises
+    ``epsilon`` defaults to 0.01 * the mean grid cost. Raises
     ZeroMassError when either map has no mass. With ``dump_prefix`` the
     solved plan and both dual potentials are written as density-map files
     (``<prefix>.plan.iccd``, ``<prefix>.potential_p.iccd``,
@@ -250,17 +272,17 @@ def ot_loss(
     if syh <= 0:
         raise ZeroMassError("ot_loss: predicted map has zero mass")
     h, w = y.shape
-    c = grid_cost_matrix(h, w)
     if epsilon is None:
-        epsilon = 0.01 * float(c.mean())
+        # 0.01 x the mean grid cost; each axis adds (n^2 - 1) / 6, and the
+        # exact integer quotient rounds as the dense matrix's mean does
+        epsilon = 0.01 * ((h * h + w * w - 2) / 6)
     problem = TransportProblem(
         p=(y / sy).reshape(-1),
         q=(yhat / syh).reshape(-1),
-        cost=c,
+        cost=(h, w),
         epsilon=epsilon,
         max_iters=max_iters,
         tolerance=tolerance,
-        grid=(h, w),
     )
     plan = sinkhorn(problem)
     g = np.where(np.isfinite(plan.potential_q), plan.potential_q, 0.0)

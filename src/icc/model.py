@@ -121,13 +121,6 @@ class GraphDescription:
             raise DataError("parameters do not match the graph: " + "; ".join(problems))
         return dtype
 
-    def backbone_blocks(self) -> list[str]:
-        seen: list[str] = []
-        for l in self.layers:
-            if l.block and l.block not in seen:
-                seen.append(l.block)
-        return seen
-
     # -- text serialization ---------------------------------------------
 
     def to_text(self) -> str:
@@ -552,10 +545,13 @@ def _conv_shape(a, ins):
             T.window_out(w, a["kw"], a["stride_w"], a["pad_w"], "width"))
 
 
-def _pool_shape(a, ins):
-    c, h, w = ins[0]
-    return (c, T.window_out(h, a["window_h"], a["stride_h"], a["pad_h"], "height"),
-            T.window_out(w, a["window_w"], a["stride_w"], a["pad_w"], "width"))
+def _pool_shape(max_pool: bool):
+    def shape(a, ins):
+        c, h, w = ins[0]
+        return (c, T.window_out(h, a["window_h"], a["stride_h"], a["pad_h"], "height", max_pool),
+                T.window_out(w, a["window_w"], a["stride_w"], a["pad_w"], "width", max_pool))
+
+    return shape
 
 
 def _adaptive_shape(a, ins):
@@ -678,8 +674,8 @@ KINDS: dict[str, Kind] = {
                       _batchnorm_params),
     "relu": Kind({}, 1, _same_shape, _per_element(0, 1), _op("relu")),
     "sigmoid": Kind({}, 1, _same_shape, _per_element(0, 1), _op("sigmoid")),
-    "maxpool": Kind(_POOL, 1, _pool_shape, _pool_cost, _pool_run("maxpool2d")),
-    "avgpool": Kind(_POOL, 1, _pool_shape, _pool_cost, _pool_run("avgpool2d")),
+    "maxpool": Kind(_POOL, 1, _pool_shape(True), _pool_cost, _pool_run("maxpool2d")),
+    "avgpool": Kind(_POOL, 1, _pool_shape(False), _pool_cost, _pool_run("avgpool2d")),
     "adaptive_avgpool": Kind(
         {"out_h": int, "out_w": int}, 1, _adaptive_shape, _adaptive_cost,
         lambda l, ins, p, mode: T.adaptive_avgpool2d(ins[0], l.attrs["out_h"], l.attrs["out_w"])),

@@ -20,10 +20,11 @@ conv is a single matmul over the input, with no columns); its backward walks
 the same bands again and fills each band's columns anew, so no column matrix
 is held between the forward and the backward pass. Pooling reduces shifted
 strided views of the padded input, and its backward adds into the same
-views. Conv and pooling share one window rule, ``window_out``, which shape
-inference in ``icc.model`` uses too, and one set of offset views. Bilinear
-and nearest resizing and adaptive average pooling are separable linear
-maps, Rh·x·Rwᵀ, with the adjoint Rhᵀ·g·Rw as backward.
+views (max pooling pads its input again there). Conv and pooling share one
+window rule, ``window_out``, which shape inference in ``icc.model`` uses
+too, and one set of offset views. Bilinear and nearest resizing and
+adaptive average pooling are separable linear maps, Rh·x·Rwᵀ, with the
+adjoint Rhᵀ·g·Rw as backward.
 """
 
 from __future__ import annotations
@@ -297,9 +298,11 @@ def sigmoid(x: Tensor) -> Tensor:
 # -- window geometry --------------------------------------------------------
 
 
-def window_out(extent: int, window: int, stride: int, pad: int, dim: str) -> int:
+def window_out(extent: int, window: int, stride: int, pad: int, dim: str,
+               max_pool: bool = False) -> int:
     """Output extent of ``window`` sliding by ``stride`` over ``extent`` padded
-    by ``pad`` on both sides; ShapeError naming ``dim`` for a bad geometry."""
+    by ``pad`` on both sides; ShapeError naming ``dim`` for a bad geometry.
+    Max pooling refuses a pad over half the window, as PyTorch does."""
     padded = extent + 2 * pad
     if window < 1:
         raise ShapeError(f"empty window {window} along {dim}")
@@ -309,10 +312,12 @@ def window_out(extent: int, window: int, stride: int, pad: int, dim: str) -> int
         raise ShapeError(f"padding must be non-negative, got {pad} along {dim}")
     if window > padded:
         raise ShapeError(f"window {window} exceeds padded extent {padded} along {dim}")
+    if max_pool and pad > window // 2:
+        raise ShapeError(f"max pooling pad {pad} exceeds half the window {window} along {dim}")
     return (padded - window) // stride + 1
 
 
-def _window(op: str, x: Tensor, window, stride, padding):
+def _window(op: str, x: Tensor, window, stride, padding, max_pool: bool = False):
     """(wh, ww, sh, sw, ph, pw, ho, wo) of ``op``'s window over the NCHW ``x``."""
     if x.ndim != 4:
         raise ShapeError(f"{op}: input must be 4-D NCHW, got {x.ndim}-D")
@@ -320,8 +325,8 @@ def _window(op: str, x: Tensor, window, stride, padding):
     sh, sw = _as_pair(stride, "stride")
     ph, pw = _as_pair(padding, "padding")
     try:
-        ho = window_out(x.shape[2], wh, sh, ph, "height (dim 2)")
-        wo = window_out(x.shape[3], ww, sw, pw, "width (dim 3)")
+        ho = window_out(x.shape[2], wh, sh, ph, "height (dim 2)", max_pool)
+        wo = window_out(x.shape[3], ww, sw, pw, "width (dim 3)", max_pool)
     except ShapeError as e:
         raise ShapeError(f"{op}: {e}") from None
     return wh, ww, sh, sw, ph, pw, ho, wo
@@ -478,7 +483,7 @@ def _pool_shifted(xp: np.ndarray, wh, ww, sh, sw, ho, wo, reduce) -> np.ndarray:
 def maxpool2d(x, window, stride=None, padding=0) -> Tensor:
     x = _coerce(x)
     stride = window if stride is None else stride
-    wh, ww, sh, sw, ph, pw, ho, wo = _window("maxpool2d", x, window, stride, padding)
+    wh, ww, sh, sw, ph, pw, ho, wo = _window("maxpool2d", x, window, stride, padding, max_pool=True)
     xp = _padded(x.data, ph, pw, -np.inf)
     out_data = _pool_shifted(xp, wh, ww, sh, sw, ho, wo, np.maximum)
 
@@ -486,6 +491,8 @@ def maxpool2d(x, window, stride=None, padding=0) -> Tensor:
         if not x.requires_grad:
             return
         geometry = (wh, ww, sh, sw, ho, wo)
+        # Padded again: the forward pass's padded copy is not kept until here.
+        xp = _padded(x.data, ph, pw, -np.inf)
         # The gradient goes to each window's first maximum in row-major order.
         taken = np.zeros(out_data.shape, bool)
         firsts = []

@@ -1,5 +1,7 @@
 """Loss-stack tests: hand cases, an exact-LP oracle, and gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -98,12 +100,11 @@ class TestSinkhorn:
             assert plan.cost >= lp - 1e-7
             assert lp <= plan.cost + eps * n * np.log(max(n, 2))
 
-    @pytest.mark.parametrize("grid", [None, (1, 3)], ids=["dense", "grid"])
-    def test_zero_mass_entries_leave_zero_rows(self, grid):
+    @pytest.mark.parametrize("cost", [grid_cost_matrix(1, 3), (1, 3)], ids=["dense", "grid"])
+    def test_zero_mass_entries_leave_zero_rows(self, cost):
         p = np.array([0.5, 0.0, 0.5])
         q = np.array([0.25, 0.5, 0.25])
-        c = grid_cost_matrix(1, 3)
-        plan = sinkhorn(TransportProblem(p, q, c, epsilon=0.1, max_iters=5000, grid=grid))
+        plan = sinkhorn(TransportProblem(p, q, cost, epsilon=0.1, max_iters=5000))
         assert np.all(plan.plan[1] == 0.0)
 
     def test_rejects_bad_epsilon_and_mass(self):
@@ -122,21 +123,18 @@ class TestSinkhorn:
         p, q, c = random_problem(rng, 12)
         if grid is not None:
             c = grid_cost_matrix(*grid)
-        plan = sinkhorn(TransportProblem(p, q, c, epsilon=1e-4 * c.mean(), max_iters=3,
-                                         tolerance=1e-12, grid=grid))
+        plan = sinkhorn(TransportProblem(p, q, c if grid is None else grid,
+                                         epsilon=1e-4 * c.mean(), max_iters=3, tolerance=1e-12))
         assert not plan.converged
         assert plan.iterations == 3
 
-    @pytest.mark.parametrize("grid, cost", [
-        ((2, 3), grid_cost_matrix(3, 2)),
-        ((1, 6), grid_cost_matrix(2, 3)),
-        ((2, 2), grid_cost_matrix(2, 3)),
-        ((2, 3), np.sqrt(grid_cost_matrix(2, 3))),
-    ], ids=["transposed", "other-shape", "cell-count", "not-squared"])
-    def test_grid_shape_must_match_cost(self, grid, cost):
+    @pytest.mark.parametrize("grid", [(2, 2), (3, 3), (0, 6), (-2, -3)],
+                             ids=["too-few-cells", "too-many-cells", "zero-extent",
+                                  "negative-extents"])
+    def test_grid_must_have_positive_extents_and_n_cells(self, grid):
         p = np.full(6, 1 / 6)
-        with pytest.raises(ShapeError, match="grid cost"):
-            sinkhorn(TransportProblem(p, p.copy(), cost, epsilon=0.1, grid=grid))
+        with pytest.raises(ShapeError, match="grid"):
+            sinkhorn(TransportProblem(p, p.copy(), grid, epsilon=0.1))
 
     @settings(max_examples=60, deadline=None)
     @given(problem=grid_problems())
@@ -155,7 +153,7 @@ class TestSinkhorn:
         c = grid_cost_matrix(h, w)
         eps = eps_ratio * (c.mean() if h * w > 1 else 1.0)
         dense = sinkhorn(TransportProblem(p, q, c, eps, cap))
-        grid = sinkhorn(TransportProblem(p, q, c, eps, cap, grid=(h, w)))
+        grid = sinkhorn(TransportProblem(p, q, (h, w), eps, cap))
         assert grid.iterations == dense.iterations
         assert grid.converged == dense.converged
         assert abs(grid.marginal_error - dense.marginal_error) <= 1e-12
@@ -259,6 +257,34 @@ class TestOTLoss:
         res = ot_loss(y, yhat, **kwargs)
         fd = numeric_gradient(lambda: ot_loss(y, yhat, **kwargs).entropic_value, yhat, h=1e-5)
         assert rel_error(res.grad, fd) < 1e-3
+
+    def test_peak_memory_is_about_one_plan(self):
+        # On the grid the plan is the only (hw)^2 array: no dense cost, no
+        # -C/eps and no plan * C is formed next to it.
+        rng = np.random.default_rng(16)
+        y = rng.uniform(0.1, 1.0, (32, 32))
+        yhat = rng.uniform(0.1, 1.0, (32, 32))
+        tracemalloc.start()
+        try:
+            ot_loss(y, yhat, max_iters=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (32 * 32) ** 2 * 8
+
+    def test_default_epsilon_is_one_hundredth_of_the_mean_grid_cost(self, monkeypatch):
+        class Posed(Exception):
+            pass
+
+        def pose(problem):
+            raise Posed(problem.epsilon)
+
+        monkeypatch.setattr("icc.loss.sinkhorn", pose)
+        for h in range(1, 41):
+            for w in range(1, 41):
+                with pytest.raises(Posed) as posed:
+                    ot_loss(np.ones((h, w)), np.ones((h, w)))
+                assert posed.value.args[0] == 0.01 * grid_cost_matrix(h, w).mean(), (h, w)
 
     def test_zero_mass_prediction_raises(self):
         y = np.ones((2, 2))

@@ -15,11 +15,14 @@ forward and backward: each band is its own GEMM, and the BLAS may block a
 narrower GEMM differently, so these comparisons use the float32 and float64
 tolerances fixed for inference (1e-5 and 1e-12 of the largest magnitude).
 
-Pooling and batch norm are held to an independent reference: the loop
+A recorded pooling op holds its output and no padded copy of its input
+between the passes. Pooling and batch norm are held to an independent reference: the loop
 pooling of conftest, bit for bit for max pooling and within 1e-6 of the
 input's largest magnitude for average pooling, whose float32 sums round; and
 the batch-norm formula written out in numpy, bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +172,22 @@ class TestPooling:
         ref = pool_loop(x, window, stride, padding, "max")
         np.testing.assert_array_equal(fast.data, ref)
         np.testing.assert_array_equal(slow.data, ref)
+
+    @pytest.mark.parametrize("op", [T.maxpool2d, T.avgpool2d])
+    def test_recorded_pooling_holds_only_its_output(self, op):
+        # Both backwards pad again rather than keep the padded input, so
+        # between the passes the op holds its output and no padded copy.
+        x = T.Tensor(np.random.default_rng(8).standard_normal((4, 16, 64, 64)).astype(np.float32),
+                     requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = op(x, 3, 2, padding=1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * out.data.nbytes
+        out.backward(np.ones(out.shape, np.float32))
+        assert x.grad.shape == x.shape
 
     @settings(max_examples=60, deadline=None)
     @given(
