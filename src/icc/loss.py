@@ -16,14 +16,16 @@ in the matching form:
 - grid-separable, for a grid (the problem ``ot_loss`` poses): an LSE over
   columns with the w x w 1-D kernel, then one over rows with the h x h
   kernel, O(hw(h+w)). This is the convolutional Wasserstein kernel of
-  Solomon et al. (SIGGRAPH 2015). No n x n cost is ever built for a grid:
-  the plan is formed from the two 1-D kernels, and ``<pi, C>`` is the plan's
-  row-to-row and column-to-column mass priced by ``Dr`` and ``Dc``.
+  Solomon et al. (SIGGRAPH 2015). No n x n array is built for a grid:
+  ``<pi, C>`` is the plan's row-to-row and column-to-column mass, each a 1-D
+  pass over the duals, priced by ``Dr`` and ``Dc``.
 
-Convergence is tested from the duals, without forming the plan: the row
-marginal is ``exp(f/eps + S)``, where S is the LSE the next f-update needs,
-and the column marginal reuses the LSE just computed for g. The plan is
-formed once, after the loop.
+The solve never forms the plan. Convergence is tested from the duals: the
+row marginal is ``exp(f/eps + S)``, where S is the LSE the next f-update
+needs, and the column marginal reuses the LSE just computed for g. The last
+row marginal also gives the plan's total mass for the entropic objective.
+``dense_plan`` builds ``pi_ij = exp((f_i + g_j - C_ij)/eps)`` from a solve
+when the plan itself is wanted.
 
 The reported transport value is the plan cost <pi, C>. That pairs with the
 dual-potential gradient, which is (up to solver tolerance) the exact gradient
@@ -60,9 +62,11 @@ class TransportProblem:
 
     def validate(self) -> None:
         p, q, c = self.p, self.q, self.cost
-        n = p.shape[0]
-        if p.ndim != 1 or q.ndim != 1 or q.shape[0] != n:
+        if p.ndim != 1 or q.ndim != 1 or q.shape != p.shape:
             raise ShapeError(f"transport: p/q must be equal-length vectors, got {p.shape}, {q.shape}")
+        n = p.shape[0]
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+            raise NumericError("transport: non-finite marginal")
         if isinstance(c, tuple):
             h, w = c
             if h < 1 or w < 1 or h * w != n:
@@ -77,7 +81,7 @@ class TransportProblem:
             raise ValueError(f"transport: max_iters must be at least 1, got {self.max_iters}")
         if np.any(p < 0) or np.any(q < 0):
             raise ValueError("transport: marginals must be non-negative")
-        if abs(p.sum() - 1.0) > MASS_TOL or abs(q.sum() - 1.0) > MASS_TOL:
+        if not (abs(p.sum() - 1.0) <= MASS_TOL and abs(q.sum() - 1.0) <= MASS_TOL):
             raise ZeroMassError(
                 f"transport: marginals must sum to 1 (got {p.sum():.12f}, {q.sum():.12f})"
             )
@@ -85,7 +89,8 @@ class TransportProblem:
 
 @dataclass
 class TransportPlan:
-    plan: np.ndarray
+    """A solve: the plan in factored form, by its duals (``dense_plan`` forms it)."""
+
     potential_p: np.ndarray  # dual potential on the first marginal
     potential_q: np.ndarray  # dual potential on the second marginal
     cost: float              # <plan, C>
@@ -108,46 +113,43 @@ def _lse(a: np.ndarray, axis: int) -> np.ndarray:
 
 def _grid_kernel(h: int, w: int, eps: float):
     """Row and column log-kernel operators v -> LSE_j(-C_ij/eps + v_j) of the
-    h x w grid cost, and (u, v) -> (plan, <plan, C>).
+    h x w grid cost, and (u, v) -> <plan, C> by 1-D passes.
 
     The cost is symmetric, so the same operator serves both half-steps.
     """
     dr, dc = _line_cost(h), _line_cost(w)
     kh, kw = -dr / eps, -dc / eps
 
+    def along(m: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # out[r, b] = LSE_d(m[r, d] + k[d, b]), reducing the leading axis, which
+        # numpy reduces several times faster than an inner one at these sizes
+        return _lse(m.T[:, :, None] + k[:, None, :], axis=0)
+
     def apply(v: np.ndarray) -> np.ndarray:
-        # x[c, b] = LSE_d(v[c, d] + kw[d, b]), then out[a, b] = LSE_c(kh[c, a] +
-        # x[c, b]). Both reduce the leading axis, which numpy reduces several
-        # times faster than an inner one at these sizes.
-        x = _lse(v.reshape(h, w).T[:, :, None] + kw[:, None, :], axis=0)
+        # x[c, b] = LSE_d(v[c, d] + kw[d, b]), then out[a, b] = LSE_c(kh[c, a] + x[c, b])
+        x = along(v.reshape(h, w), kw)
         return _lse(kh[:, :, None] + x[:, None, :], axis=0).reshape(-1)
 
-    def plan_cost(u: np.ndarray, v: np.ndarray):
-        # plan[a, b, c, d] = exp(kh[a, c] + kw[b, d] + u[a, b] + v[c, d]) in one
-        # buffer; <plan, C> prices row-to-row mass by dr, column-to-column by dc
-        plan4 = np.add(kh[:, None, :, None], kw[None, :, None, :])
-        plan = plan4.reshape(h * w, h * w)
-        plan += u[:, None]
-        plan += v
-        np.exp(plan, out=plan)
-        cost = (plan4.sum(axis=(1, 3)) * dr).sum() + (plan4.sum(axis=(0, 2)) * dc).sum()
-        return plan, float(cost)
+    def cost(u: np.ndarray, v: np.ndarray) -> float:
+        # plan[a, b, c, d] = exp(kh[a, c] + kw[b, d] + u[a, b] + v[c, d]). Its
+        # row-to-row mass is exp(kh[a, c] + LSE_b(u[a, b] + x[c, b])), with x as
+        # in apply, priced by dr; its column-to-column mass is the transposed
+        # counterpart, priced by dc.
+        u, v = u.reshape(h, w), v.reshape(h, w)
+        row_mass = np.exp(kh + along(u, along(v, kw).T))
+        col_mass = np.exp(kw + along(u.T, along(v.T, kh).T))
+        return float((row_mass * dr).sum() + (col_mass * dc).sum())
 
-    return apply, apply, plan_cost
+    return apply, apply, cost
 
 
 def _dense_kernel(c: np.ndarray, eps: float):
     """Row and column log-kernel operators of an arbitrary cost, and
-    (u, v) -> (plan, <plan, C>)."""
+    (u, v) -> <plan, C>."""
     neg_c = -c / eps
-
-    def plan_cost(u: np.ndarray, v: np.ndarray):
-        plan = np.exp(neg_c + u[:, None] + v)
-        return plan, float((plan * c).sum())
-
     return (lambda v: _lse(neg_c + v, axis=1),
             lambda u: _lse(neg_c + u[:, None], axis=0),
-            plan_cost)
+            lambda u, v: float((np.exp(neg_c + u[:, None] + v) * c).sum()))
 
 
 def sinkhorn(problem: TransportProblem) -> TransportPlan:
@@ -157,16 +159,16 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
     ``max_iters`` is exhausted; the latter returns ``converged=False`` rather
     than raising. Zero entries in p or q are handled exactly (their rows and
     columns of the plan are zero). The loop carries the scaled duals
-    u = f/eps and v = g/eps.
+    u = f/eps and v = g/eps; the plan is never formed.
     """
     problem.validate()
     p = problem.p.astype(np.float64)
     q = problem.q.astype(np.float64)
     eps = float(problem.epsilon)
     if isinstance(problem.cost, tuple):
-        row_lse, col_lse, plan_cost = _grid_kernel(*problem.cost, eps)
+        row_lse, col_lse, cost_of = _grid_kernel(*problem.cost, eps)
     else:
-        row_lse, col_lse, plan_cost = _dense_kernel(problem.cost.astype(np.float64), eps)
+        row_lse, col_lse, cost_of = _dense_kernel(problem.cost.astype(np.float64), eps)
 
     # log(0) = -inf is meant: zero-mass cells and empty grid rows
     with np.errstate(divide="ignore"):
@@ -180,20 +182,20 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
             v = logq - t
             s = row_lse(v)
             # row sums of the plan are exp(u + s), column sums exp(v + t)
+            rows = np.exp(u + s)
             err = max(
-                np.abs(np.exp(u + s) - p).sum(),
+                np.abs(rows - p).sum(),
                 np.abs(np.exp(v + t) - q).sum(),
             )
             if err <= problem.tolerance:
                 break
+        cost = cost_of(u, v)
 
-    plan, cost = plan_cost(u, v)
     f, g = eps * u, eps * v
     fp = np.where(np.isfinite(f), f, 0.0)
     gq = np.where(np.isfinite(g), g, 0.0)
-    entropic = float(fp @ p + gq @ q - eps * plan.sum())
+    entropic = float(fp @ p + gq @ q - eps * rows.sum())
     return TransportPlan(
-        plan=plan,
         potential_p=f,
         potential_q=g,
         cost=cost,
@@ -202,6 +204,13 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
         converged=bool(err <= problem.tolerance),
         marginal_error=float(err),
     )
+
+
+def dense_plan(problem: TransportProblem, solved: TransportPlan) -> np.ndarray:
+    """The n x n plan ``exp((f_i + g_j - C_ij) / eps)`` of a solve of ``problem``."""
+    c = grid_cost_matrix(*problem.cost) if isinstance(problem.cost, tuple) else problem.cost
+    f, g = solved.potential_p, solved.potential_q
+    return np.exp((f[:, None] + g - c) / problem.epsilon)
 
 
 def grid_cost_matrix(h: int, w: int, dtype=np.float64) -> np.ndarray:
@@ -292,7 +301,7 @@ def ot_loss(
         from .data import write_density
 
         f = np.where(np.isfinite(plan.potential_p), plan.potential_p, 0.0)
-        write_density(f"{dump_prefix}.plan.iccd", plan.plan.astype(np.float32))
+        write_density(f"{dump_prefix}.plan.iccd", dense_plan(problem, plan).astype(np.float32))
         write_density(f"{dump_prefix}.potential_p.iccd", f.reshape(y.shape).astype(np.float32))
         write_density(f"{dump_prefix}.potential_q.iccd", g.reshape(y.shape).astype(np.float32))
     return OTLossResult(

@@ -221,48 +221,33 @@ def _into(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- elementwise ------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def _binary(op: str, a, b, forward, grads) -> Tensor:
+    """``forward(a, b)`` on the operands' data. ``grads(g, a, b)`` returns each
+    operand's gradient at the broadcast shape; it is summed down to the operand's."""
     a, b = _operands(a, b)
-    out_data = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        ga, gb = grads(g, a.data, b.data)
+        _accumulate(a, _unbroadcast(ga, a.data.shape))
+        _accumulate(b, _unbroadcast(gb, b.data.shape))
 
-    return _make(out_data, (a, b), backward, "add")
+    return _make(forward(a.data, b.data), (a, b), backward, op)
+
+
+def add(a, b) -> Tensor:
+    return _binary("add", a, b, np.add, lambda g, x, y: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(out_data, (a, b), backward, "sub")
+    return _binary("sub", a, b, np.subtract, lambda g, x, y: (g, -g))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    out_data = a.data * b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out_data, (a, b), backward, "mul")
+    return _binary("mul", a, b, np.multiply, lambda g, x, y: (g * y, g * x))
 
 
 def div(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    out_data = a.data / b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out_data, (a, b), backward, "div")
+    return _binary("div", a, b, np.divide, lambda g, x, y: (g / y, -g * x / (y * y)))
 
 
 def tensor_sum(x: Tensor) -> Tensor:
@@ -488,8 +473,6 @@ def maxpool2d(x, window, stride=None, padding=0) -> Tensor:
     out_data = _pool_shifted(xp, wh, ww, sh, sw, ho, wo, np.maximum)
 
     def backward(g):
-        if not x.requires_grad:
-            return
         geometry = (wh, ww, sh, sw, ho, wo)
         # Padded again: the forward pass's padded copy is not kept until here.
         xp = _padded(x.data, ph, pw, -np.inf)
@@ -521,8 +504,6 @@ def avgpool2d(x, window, stride=None, padding=0) -> Tensor:
     padded_shape = xp.shape  # the backward keeps the shape, not the padded copy
 
     def backward(g):
-        if not x.requires_grad:
-            return
         gp = np.zeros(padded_shape, g.dtype)
         share = g / (wh * ww)
         for view in _window_views(gp, wh, ww, sh, sw, ho, wo):
@@ -649,8 +630,7 @@ def _separable(rh: np.ndarray, rw: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _resample(x: Tensor, rh: np.ndarray, rw: np.ndarray, op: str) -> Tensor:
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, _separable(rh.T, rw.T, g))
+        _accumulate(x, _separable(rh.T, rw.T, g))
 
     return _make(_separable(rh, rw, x.data), (x,), backward, op)
 

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import numeric_gradient, rel_error
-from icc.errors import ShapeError, ZeroMassError
+from icc.errors import NumericError, ShapeError, ZeroMassError
 from icc.loss import (
     DMCountLoss,
     TransportProblem,
     counting_loss,
+    dense_plan,
     dm_count_loss,
     grid_cost_matrix,
     ot_loss,
@@ -82,11 +83,31 @@ class TestSinkhorn:
             p, q, c = random_problem(rng, n)
             prob = TransportProblem(p, q, c, epsilon=0.05 * c.mean(),
                                     max_iters=20000, tolerance=1e-8)
-            plan = sinkhorn(prob)
-            assert plan.converged
-            assert np.abs(plan.plan.sum(1) - p).sum() <= 1e-8
-            assert np.abs(plan.plan.sum(0) - q).sum() <= 1e-8
-            assert np.all(plan.plan >= 0)
+            solved = sinkhorn(prob)
+            assert solved.converged
+            plan = dense_plan(prob, solved)
+            assert np.abs(plan.sum(1) - p).sum() <= 1e-8
+            assert np.abs(plan.sum(0) - q).sum() <= 1e-8
+            assert np.all(plan >= 0)
+
+    @pytest.mark.parametrize("h, w", [(1, 5), (4, 1), (3, 4), (7, 6), (9, 9)])
+    def test_grid_dense_plan_meets_marginals_and_prices_at_cost(self, h, w):
+        # The grid solve never forms the plan: its cost comes from 1-D passes
+        # over the duals. The plan built from those duals must be the same one.
+        rng = np.random.default_rng(h * 100 + w)
+        p = rng.dirichlet(np.ones(h * w)) * (rng.uniform(size=h * w) > 0.2)
+        q = rng.dirichlet(np.ones(h * w)) * (rng.uniform(size=h * w) > 0.2)
+        p[0] = q[-1] = 0.5  # both keep some mass
+        p, q = p / p.sum(), q / q.sum()
+        prob = TransportProblem(p, q, (h, w), epsilon=0.05 * (h * h + w * w - 2) / 6,
+                                max_iters=20000, tolerance=1e-9)
+        solved = sinkhorn(prob)
+        assert solved.converged
+        plan = dense_plan(prob, solved)
+        assert np.abs(plan.sum(1) - p).sum() <= prob.tolerance
+        assert np.abs(plan.sum(0) - q).sum() <= prob.tolerance
+        cost = (plan * grid_cost_matrix(h, w)).sum()
+        assert abs(cost - solved.cost) <= 1e-12 * cost
 
     def test_cost_bounded_by_lp_plus_entropic_bias(self):
         rng = np.random.default_rng(2)
@@ -104,8 +125,8 @@ class TestSinkhorn:
     def test_zero_mass_entries_leave_zero_rows(self, cost):
         p = np.array([0.5, 0.0, 0.5])
         q = np.array([0.25, 0.5, 0.25])
-        plan = sinkhorn(TransportProblem(p, q, cost, epsilon=0.1, max_iters=5000))
-        assert np.all(plan.plan[1] == 0.0)
+        prob = TransportProblem(p, q, cost, epsilon=0.1, max_iters=5000)
+        assert np.all(dense_plan(prob, sinkhorn(prob))[1] == 0.0)
 
     def test_rejects_bad_epsilon_and_mass(self):
         c = grid_cost_matrix(1, 2)
@@ -127,6 +148,16 @@ class TestSinkhorn:
                                          epsilon=1e-4 * c.mean(), max_iters=3, tolerance=1e-12))
         assert not plan.converged
         assert plan.iterations == 3
+
+    @pytest.mark.parametrize("p, q, error", [
+        (np.array(1.0), np.array([1.0]), ShapeError),
+        (np.array([0.5, np.nan]), np.array([0.5, 0.5]), NumericError),
+        (np.array([0.5, 0.5]), np.array([np.inf, 0.0]), NumericError),
+        (np.array([0.5, 0.5]), np.array([-np.inf, 1.0]), NumericError),
+    ], ids=["0-d", "nan", "inf", "minus-inf"])
+    def test_rejects_malformed_marginals(self, p, q, error):
+        with pytest.raises(error):
+            sinkhorn(TransportProblem(p, q, (1, 2), epsilon=0.1))
 
     @pytest.mark.parametrize("grid", [(2, 2), (3, 3), (0, 6), (-2, -3)],
                              ids=["too-few-cells", "too-many-cells", "zero-extent",
@@ -259,8 +290,8 @@ class TestOTLoss:
         assert rel_error(res.grad, fd) < 1e-3
 
     def test_peak_memory_is_about_one_plan(self):
-        # On the grid the plan is the only (hw)^2 array: no dense cost, no
-        # -C/eps and no plan * C is formed next to it.
+        # A grid solve forms no (hw)^2 array, not even the plan: its mass and
+        # cost come from the duals, so the peak is a small share of one plan.
         rng = np.random.default_rng(16)
         y = rng.uniform(0.1, 1.0, (32, 32))
         yhat = rng.uniform(0.1, 1.0, (32, 32))
@@ -270,7 +301,7 @@ class TestOTLoss:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * (32 * 32) ** 2 * 8
+        assert peak <= 0.25 * (32 * 32) ** 2 * 8
 
     def test_default_epsilon_is_one_hundredth_of_the_mean_grid_cost(self, monkeypatch):
         class Posed(Exception):
@@ -285,6 +316,14 @@ class TestOTLoss:
                 with pytest.raises(Posed) as posed:
                     ot_loss(np.ones((h, w)), np.ones((h, w)))
                 assert posed.value.args[0] == 0.01 * grid_cost_matrix(h, w).mean(), (h, w)
+
+    def test_nan_map_raises(self):
+        yhat = np.ones((2, 2))
+        yhat[1, 0] = np.nan
+        with pytest.raises(NumericError, match="marginal"):
+            ot_loss(np.ones((2, 2)), yhat)
+        with pytest.raises(NumericError, match="marginal"):
+            dm_count_loss(np.ones((2, 2)), yhat)
 
     def test_zero_mass_prediction_raises(self):
         y = np.ones((2, 2))
@@ -374,6 +413,9 @@ class TestDebugDump:
         plan = read_grid(f"{prefix}.plan.iccd")
         assert plan.shape == (9, 9)
         assert abs(plan.sum() - 1.0) < 1e-5
+        prob = TransportProblem((y / y.sum()).reshape(-1), (yhat / yhat.sum()).reshape(-1),
+                                (3, 3), epsilon=0.5)
+        assert np.array_equal(plan, dense_plan(prob, res.plan).astype(np.float32))
         fpot = read_grid(f"{prefix}.potential_p.iccd")
         gpot = read_grid(f"{prefix}.potential_q.iccd")
         assert fpot.shape == (3, 3) and gpot.shape == (3, 3)
