@@ -228,22 +228,30 @@ def _line_cost(n: int) -> np.ndarray:
     return np.square(np.subtract.outer(np.arange(n), np.arange(n)))
 
 
-def _as_map(x) -> np.ndarray:
-    arr = np.asarray(getattr(x, "values", x), dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"density map must be 2-D, got shape {arr.shape}")
-    return arr
+def _density_maps(op: str, y, yhat, need_mass: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``y`` and ``yhat`` as float64 2-D maps of one shape.
 
-
-def _check_same_shape(y: np.ndarray, yhat: np.ndarray) -> None:
+    A non-finite cell raises NumericError before anything divides by a map's
+    mass; with ``need_mass``, a map whose mass is not positive raises
+    ZeroMassError.
+    """
+    y, yhat = (np.asarray(getattr(m, "values", m), dtype=np.float64) for m in (y, yhat))
+    for m in (y, yhat):
+        if m.ndim != 2:
+            raise ShapeError(f"{op}: density map must be 2-D, got shape {m.shape}")
     if y.shape != yhat.shape:
-        raise ShapeError(f"density maps differ in shape: {y.shape} vs {yhat.shape}")
+        raise ShapeError(f"{op}: density maps differ in shape: {y.shape} vs {yhat.shape}")
+    for name, m in (("ground-truth", y), ("predicted", yhat)):
+        if not np.all(np.isfinite(m)):
+            raise NumericError(f"{op}: {name} map has a non-finite cell")
+        if need_mass and m.sum() <= 0:
+            raise ZeroMassError(f"{op}: {name} map has zero mass")
+    return y, yhat
 
 
 def counting_loss(y, yhat) -> tuple[float, np.ndarray]:
     """|count(y) - count(yhat)| and its subgradient w.r.t. yhat."""
-    y, yhat = _as_map(y), _as_map(yhat)
-    _check_same_shape(y, yhat)
+    y, yhat = _density_maps("counting_loss", y, yhat)
     diff = yhat.sum() - y.sum()
     grad = np.full_like(yhat, np.sign(diff))
     return float(abs(diff)), grad
@@ -273,13 +281,8 @@ def ot_loss(
     (``<prefix>.plan.iccd``, ``<prefix>.potential_p.iccd``,
     ``<prefix>.potential_q.iccd``) for inspection.
     """
-    y, yhat = _as_map(y), _as_map(yhat)
-    _check_same_shape(y, yhat)
+    y, yhat = _density_maps("ot_loss", y, yhat, need_mass=True)
     sy, syh = y.sum(), yhat.sum()
-    if sy <= 0:
-        raise ZeroMassError("ot_loss: ground-truth map has zero mass")
-    if syh <= 0:
-        raise ZeroMassError("ot_loss: predicted map has zero mass")
     h, w = y.shape
     if epsilon is None:
         # 0.01 x the mean grid cost; each axis adds (n^2 - 1) / 6, and the
@@ -314,13 +317,8 @@ def ot_loss(
 
 def tv_loss(y, yhat) -> tuple[float, np.ndarray]:
     """Half the L1 distance between the normalized maps, with subgradient."""
-    y, yhat = _as_map(y), _as_map(yhat)
-    _check_same_shape(y, yhat)
+    y, yhat = _density_maps("tv_loss", y, yhat, need_mass=True)
     sy, syh = y.sum(), yhat.sum()
-    if sy <= 0:
-        raise ZeroMassError("tv_loss: ground-truth map has zero mass")
-    if syh <= 0:
-        raise ZeroMassError("tv_loss: predicted map has zero mass")
     a = y / sy - yhat / syh
     value = 0.5 * np.abs(a).sum()
     s = np.sign(a)
@@ -352,7 +350,7 @@ def dm_count_loss(
     tolerance: float = 1e-6,
 ) -> DMCountLoss:
     """Combined loss: counting + lambda1 * OT + lambda2 * ||y||_1 * TV."""
-    y, yhat = _as_map(y), _as_map(yhat)
+    y, yhat = _density_maps("dm_count_loss", y, yhat)
     lc, gc = counting_loss(y, yhat)
     ot = ot_loss(y, yhat, epsilon=epsilon, max_iters=max_iters, tolerance=tolerance)
     ltv, gtv = tv_loss(y, yhat)

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 
 BN_EPS = 1e-3
 BN_MOMENTUM = 0.1
@@ -752,7 +752,8 @@ def forward(
     op that reads one records its backward and the result supports
     ``backward``; without it no op records anything. An intermediate is kept
     only when a tap names its layer. ``params`` must match the graph
-    (DataError otherwise), and ``x`` is cast to their dtype.
+    (DataError otherwise), and ``x`` is cast to their dtype. A NumericError or
+    ShapeError raised by a layer is raised again, prefixed with its name.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -772,7 +773,10 @@ def forward(
     taps: dict[str, T.Tensor] = {}
     for i, l in enumerate(graph.layers):
         ins = [values[s] for s in l.reads()] if l.inputs else [x]
-        out = KINDS[l.kind].run(l, ins, p, mode)
+        try:
+            out = KINDS[l.kind].run(l, ins, p, mode)
+        except (NumericError, ShapeError) as e:
+            raise type(e)(f"{l.name}: {e}") from e
         values[l.name] = out
         for t, n in graph.taps.items():
             if n == l.name:

@@ -5,8 +5,8 @@ and the operators below record just enough of the forward pass to run the
 reverse sweep. The operator set is exactly what the counting network needs:
 conv2d (plus the two-stage separable form), max/avg pooling, adaptive average
 pooling, batch norm, relu/sigmoid, bilinear/nearest resizing, channel
-concat/sum and elementwise arithmetic. An op's output has its tensor
-operands' dtype; a number given to the arithmetic ops takes the dtype of the
+concat/sum and elementwise arithmetic, each a function (a Tensor has no
+arithmetic operators). An op's output has its tensor operands' dtype; a number given to the arithmetic ops takes the dtype of the
 Tensor beside it.
 
 Every forward op validates that its output is finite; NaN/Inf raises
@@ -15,16 +15,16 @@ NumericError immediately instead of propagating silently.
 An op records its backward exactly when one of its operands requires grad.
 Each op has one forward, which runs whether or not it records. conv2d fills
 a fixed-size column buffer one band of output rows at a time and multiplies
-each band straight into its slice of the output (a 1x1 stride-1 unpadded
-conv is a single matmul over the input, with no columns); its backward walks
-the same bands again and fills each band's columns anew, so no column matrix
-is held between the forward and the backward pass. Pooling reduces shifted
-strided views of the padded input, and its backward adds into the same
-views (max pooling pads its input again there). Conv and pooling share one
-window rule, ``window_out``, which shape inference in ``icc.model`` uses
-too, and one set of offset views. Bilinear and nearest resizing and
-adaptive average pooling are separable linear maps, Rh·x·Rwᵀ, with the
-adjoint Rhᵀ·g·Rw as backward.
+each band straight into its slice of the output (a 1x1 stride-1 conv reads
+each sample's padded input as its band's columns, with no copy); its
+backward walks the same bands again and fills each band's columns anew, so
+no column matrix is held between the forward and the backward pass. Pooling
+reduces shifted strided views of the padded input, and its backward adds
+into the same views (max pooling pads its input again there). Conv and
+pooling share one window rule, ``window_out``, which shape inference in
+``icc.model`` uses too, and one set of offset views. Bilinear and nearest
+resizing and adaptive average pooling are separable linear maps, Rh·x·Rwᵀ,
+with the adjoint Rhᵀ·g·Rw as backward.
 """
 
 from __future__ import annotations
@@ -99,33 +99,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
-
-    # -- arithmetic sugar ---------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def sum(self) -> "Tensor":
-        return tensor_sum(self)
 
     # -- reverse sweep ------------------------------------------------------
 
@@ -231,7 +204,10 @@ def _binary(op: str, a, b, forward, grads) -> Tensor:
         _accumulate(a, _unbroadcast(ga, a.data.shape))
         _accumulate(b, _unbroadcast(gb, b.data.shape))
 
-    return _make(forward(a.data, b.data), (a, b), backward, op)
+    # a non-finite result is _make's NumericError, not a numpy warning first
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = forward(a.data, b.data)
+    return _make(out, (a, b), backward, op)
 
 
 def add(a, b) -> Tensor:
@@ -344,9 +320,15 @@ def _conv_bands(xp: np.ndarray, kh, kw, sh, sw, ho, wo):
 
     A band's columns, [C*kh*kw, rows*Wo], are filled into one buffer of
     ``_COL_BUFFER_BYTES`` that every band reuses, so they hold only until the
-    next band is drawn.
+    next band is drawn. A 1x1 stride-1 conv needs no columns: its output
+    extent is the padded extent, so each sample is one band whose columns are
+    a view of that sample's padded input.
     """
     n, c = xp.shape[:2]
+    if kh == kw == sh == sw == 1:
+        for s in range(n):
+            yield s, 0, ho, xp[s].reshape(c, ho * wo)
+        return
     k = c * kh * kw
     band = max(1, min(ho, _COL_BUFFER_BYTES // (k * wo * xp.itemsize)))
     buf = np.empty(k * band * wo, dtype=xp.dtype)
@@ -382,16 +364,10 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
 
     parents = (x, weight) if b is None else (x, weight, b)
     wmat = weight.data.reshape(cout, -1)
-    # A 1x1 stride-1 unpadded conv is one matmul over the input as it lies.
-    pointwise = kh == kw == sh == sw == 1 and ph == pw == 0
     geometry = (kh, kw, sh, sw, ho, wo)
-
-    if pointwise:
-        out = np.matmul(wmat, x.data.reshape(n, cin, h * w))
-    else:
-        out = np.empty((n, cout, ho * wo), np.result_type(x.data, wmat))
-        for s, r0, r, cols in _conv_bands(_padded(x.data, ph, pw), *geometry):
-            np.matmul(wmat, cols, out=out[s, :, r0 * wo : (r0 + r) * wo])
+    out = np.empty((n, cout, ho * wo), np.result_type(x.data, wmat))
+    for s, r0, r, cols in _conv_bands(_padded(x.data, ph, pw), *geometry):
+        np.matmul(wmat, cols, out=out[s, :, r0 * wo : (r0 + r) * wo])
     out_data = out.reshape(n, cout, ho, wo)
     if b is not None:
         out_data = _into(np.add, out_data, b.data.reshape(1, cout, 1, 1))
@@ -400,14 +376,6 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
         gmat = g.reshape(n, cout, ho * wo)
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
-        if pointwise:
-            xmat = x.data.reshape(n, cin, h * w)
-            if weight.requires_grad:
-                gw = np.matmul(gmat, xmat.transpose(0, 2, 1)).sum(axis=0)
-                _accumulate(weight, gw.reshape(weight.shape))
-            if x.requires_grad:
-                _accumulate(x, np.matmul(wmat.T, gmat).reshape(x.shape))
-            return
         # The input is padded and each band's columns filled again here rather
         # than kept from the forward pass, so a step holds neither for long.
         xp = _padded(x.data, ph, pw)

@@ -41,7 +41,7 @@ class TestConvGradients:
         check_op_gradients(lambda: T.conv2d(x, w, padding=(0, 3)), [x, w])
 
     def test_conv2d_pointwise(self):
-        # 1x1, stride 1, no padding: one matmul over the input, with no columns
+        # 1x1, stride 1, no padding: each sample's columns are a view of its input
         x, w, b = t(rand(2, 3, 5, 4, seed=11)), t(rand(4, 3, 1, 1, seed=12)), t(rand(4, seed=13))
         check_op_gradients(lambda: T.conv2d(x, w, bias=b), [x, w, b])
 

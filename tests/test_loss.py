@@ -318,12 +318,15 @@ class TestOTLoss:
                 assert posed.value.args[0] == 0.01 * grid_cost_matrix(h, w).mean(), (h, w)
 
     def test_nan_map_raises(self):
-        yhat = np.ones((2, 2))
-        yhat[1, 0] = np.nan
-        with pytest.raises(NumericError, match="marginal"):
-            ot_loss(np.ones((2, 2)), yhat)
-        with pytest.raises(NumericError, match="marginal"):
-            dm_count_loss(np.ones((2, 2)), yhat)
+        # and inf and -inf, in either map, before any loss divides by a mass
+        for bad in (np.nan, np.inf, -np.inf):
+            for side, name in ((0, "ground-truth"), (1, "predicted")):
+                maps = [np.ones((2, 2)), np.ones((2, 2))]
+                maps[side][1, 0] = bad
+                for loss in (counting_loss, ot_loss, tv_loss, dm_count_loss):
+                    with pytest.raises(NumericError, match=f"^{loss.__name__}: {name} map "
+                                                           "has a non-finite cell"):
+                        loss(*maps)
 
     def test_zero_mass_prediction_raises(self):
         y = np.ones((2, 2))

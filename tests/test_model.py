@@ -8,7 +8,7 @@ import pytest
 from icc import model as M
 from icc import tensor as T
 from icc import train as TR
-from icc.errors import ConfigError, DataError, ShapeError
+from icc.errors import ConfigError, DataError, NumericError, ShapeError
 from icc.flops import count_graph
 
 
@@ -162,6 +162,17 @@ class TestShapes:
         params = M.init_parameters(graph, 0)
         with pytest.raises(ShapeError, match="channels"):
             M.forward(graph, params, np.zeros((1, 4, 64, 64), dtype=np.float32))
+
+    def test_layer_errors_name_the_layer(self):
+        graph = M.build_icc(small_config())
+        params = M.init_parameters(graph, 0)
+        with pytest.raises(ShapeError, match=r"^input: expects 3 channels, got 4 \(dim 1\)$"):
+            M.forward(graph, params, np.zeros((1, 4, 64, 64), dtype=np.float32))
+        # NaN, not inf: an inf weight times the zero padding warns in matmul first
+        params["inception_a2.b3_2.conv.w"][0, 0, 0, 0] = np.nan
+        with pytest.raises(NumericError,
+                           match="^inception_a2.b3_2.conv: conv2d: non-finite values in output$"):
+            run_image(graph, params, 64, 64)
 
     def test_mismatched_parameters_rejected(self):
         graph = M.build_icc(small_config())

@@ -8,12 +8,14 @@ forward without ``requires_grad`` gives its parameters no grad, so no op in
 the graph records anything, and its result refuses ``backward``.
 
 conv2d fills a fixed-size column buffer one band of output rows at a time,
-and its backward fills each band's columns again. Both outputs are held to
-the loop convolution of conftest. A conv over several bands, with the buffer
-monkeypatched down to two output rows, is held to the same conv in one band,
-forward and backward: each band is its own GEMM, and the BLAS may block a
-narrower GEMM differently, so these comparisons use the float32 and float64
-tolerances fixed for inference (1e-5 and 1e-12 of the largest magnitude).
+and its backward fills each band's columns again; a 1x1 stride-1 conv's band
+is a whole sample, whose columns are a view of its padded input. Both
+outputs are held to the loop convolution of conftest. A conv over several
+bands, with the buffer monkeypatched down to two output rows, is held to the
+same conv in one band, forward and backward: each band is its own GEMM, and
+the BLAS may block a narrower GEMM differently, so these comparisons use the
+float32 and float64 tolerances fixed for inference (1e-5 and 1e-12 of the
+largest magnitude).
 
 A recorded pooling op holds its output and no padded copy of its input
 between the passes. Pooling and batch norm are held to an independent reference: the loop
@@ -82,23 +84,24 @@ class TestConv2d:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("k, stride", [
         ((3, 3), (1, 1)), ((3, 3), (2, 2)), ((3, 3), (1, 2)),
-        # a 1x1 stride-1 conv is a single matmul, with no bands
-        ((1, 1), (2, 2)), ((1, 1), (1, 2)),
+        ((1, 1), (2, 2)), ((1, 1), (1, 2)), ((1, 1), (1, 1)),
     ])
     def test_bands_match_grad_path(self, k, stride, dtype, monkeypatch):
         arrays = conv_case(np.random.default_rng(4), dtype, k, True, cin=6, h=29, w=17)
-        padding = (k[0] // 2, k[1] // 2)
-        _, one_band = both_paths(conv, arrays, stride=stride, padding=padding)
-        ho, wo = one_band.shape[2:]
-        # two output rows per band: a call crosses 3 or more band boundaries
-        row_bytes = 6 * k[0] * k[1] * wo * np.dtype(dtype).itemsize
-        monkeypatch.setattr(T, "_COL_BUFFER_BYTES", 2 * row_bytes)
-        assert -(-ho // 2) - 1 >= 3
-        fast, slow = both_paths(conv, arrays, stride=stride, padding=padding)
-        assert_unrecorded(fast)
-        np.testing.assert_array_equal(fast.data, slow.data)
-        scale = np.abs(one_band.data).max()
-        assert np.abs(fast.data - one_band.data).max() <= tolerance(dtype) * scale
+        # "same" padding (none for a 1x1 kernel), then more than that
+        for padding in ((k[0] // 2, k[1] // 2), (k[0] // 2 + 1, k[1] // 2 + 2)):
+            _, one_band = both_paths(conv, arrays, stride=stride, padding=padding)
+            ho, wo = one_band.shape[2:]
+            # two output rows per band: a call crosses 3 or more band boundaries
+            row_bytes = 6 * k[0] * k[1] * wo * np.dtype(dtype).itemsize
+            with monkeypatch.context() as m:
+                m.setattr(T, "_COL_BUFFER_BYTES", 2 * row_bytes)
+                assert -(-ho // 2) - 1 >= 3
+                fast, slow = both_paths(conv, arrays, stride=stride, padding=padding)
+            assert_unrecorded(fast)
+            np.testing.assert_array_equal(fast.data, slow.data)
+            scale = np.abs(one_band.data).max()
+            assert np.abs(fast.data - one_band.data).max() <= tolerance(dtype) * scale
 
     @pytest.mark.parametrize("grads", ["w", "x", "xwb"])
     @pytest.mark.parametrize("k, stride, padding", [
@@ -106,6 +109,7 @@ class TestConv2d:
         ((1, 7), (1, 1), (0, 3)), ((7, 1), (1, 1), (3, 0)),
         # a strided 1x1 conv goes through bands too
         ((1, 1), (2, 2), (0, 0)),
+        ((1, 1), (1, 1), (0, 0)), ((1, 1), (1, 1), (1, 2)),
     ])
     def test_banded_backward_matches_one_band(self, k, stride, padding, grads, monkeypatch):
         arrays = conv_case(np.random.default_rng(7), np.float64, k, True, cin=6, h=29, w=17)
@@ -125,6 +129,17 @@ class TestConv2d:
         assert banded.keys() == one_band.keys() == set(grads)
         for name, g in one_band.items():
             assert np.abs(banded[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+    @pytest.mark.parametrize("padding", [(0, 0), (1, 2)])
+    def test_pointwise_columns_are_views_of_the_padded_input(self, padding):
+        x = np.random.default_rng(10).standard_normal((2, 5, 13, 11))
+        xp = T._padded(x, *padding)
+        ho, wo = xp.shape[2:]
+        bands = list(T._conv_bands(xp, 1, 1, 1, 1, ho, wo))
+        assert [band[:3] for band in bands] == [(0, 0, ho), (1, 0, ho)]
+        for s, _, _, cols in bands:
+            assert np.shares_memory(cols, xp[s])
+            np.testing.assert_array_equal(cols, xp[s].reshape(5, ho * wo))
 
     def test_grad_enabled_without_grad_operands_records_nothing(self):
         x, w = conv_case(np.random.default_rng(5), np.float32, (3, 3), False)
@@ -246,6 +261,14 @@ class TestFiniteCheck:
         for grad in (False, True):
             out = T.maxpool2d(T.Tensor(x, requires_grad=grad), 1)
             np.testing.assert_array_equal(out.data, x)
+
+    @pytest.mark.parametrize("op, a, b", [
+        ("div", 1.0, 0.0), ("div", 0.0, 0.0), ("mul", 3e38, 10.0), ("sub", -3e38, 3e38),
+    ])
+    def test_elementwise_non_finite_raises_without_a_warning(self, op, a, b):
+        x, y = (T.Tensor(np.full((2, 2), v, np.float32)) for v in (a, b))
+        with pytest.raises(NumericError, match=f"^{op}: "):
+            getattr(T, op)(x, y)
 
     OPS = {
         "conv2d": lambda x, grad: T.conv2d(

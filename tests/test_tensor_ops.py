@@ -314,7 +314,8 @@ class TestActivations:
 class TestScalarOperands:
     def test_number_takes_the_tensor_dtype(self):
         t = T.Tensor(np.ones((2, 3), np.float32))
-        for out in (T.add(t, 1e-6), -t, 1.0 - t, t * 0.5, t / 2.0):
+        for out in (T.add(t, 1e-6), T.add(1e-6, t), T.sub(t, 1.0), T.sub(1.0, t),
+                    T.mul(t, 0.5), T.mul(-1.0, t), T.div(t, 2.0), T.div(2.0, t)):
             assert out.dtype == np.float32
 
 
