@@ -2,10 +2,10 @@
 
 The transport loss normalizes both maps to probability vectors, prices moving
 mass between cells by squared Euclidean distance on the downsampled pixel
-grid, and solves the entropically regularized problem with log-domain
-Sinkhorn-Knopp scaling. Gradients with respect to the prediction come from
-the dual potential of the prediction-side marginal pushed through the
-normalization Jacobian.
+grid, and solves the entropically regularized problem with Sinkhorn-Knopp
+scaling. Gradients with respect to the prediction come from the dual
+potential of the prediction-side marginal pushed through the normalization
+Jacobian.
 
 A problem's cost is either an n x n matrix or the (h, w) of a grid, whose
 cost ``C = Dr (+) Dc`` is the sum of two 1-D squared line distances. Each
@@ -20,12 +20,25 @@ in the matching form:
   ``<pi, C>`` is the plan's row-to-row and column-to-column mass, each a 1-D
   pass over the duals, priced by ``Dr`` and ``Dc``.
 
+A grid is scaled in the exp domain first: the loop holds a = exp(f/eps) and
+b = exp(g/eps), and each half-step is ``p / (Kh @ b @ Kw)``, two small GEMMs
+with the 1-D Gibbs kernels ``Kh = exp(-Dr/eps)`` and ``Kw = exp(-Dc/eps)``.
+The log-domain loop serves a dense cost and is the grid's fallback: from the
+start when a 1-D kernel has an entry below the smallest normal float, and
+from the last good duals (the iteration count carrying on) when a scaling
+leaves exp(+-600) on its marginal's support or its denominator there is not
+a normal float. The two orders of arithmetic agree to a tolerance, not bit
+for bit: the same iterations, converged flag and infinite cells, duals
+within 1e-10 of their largest finite magnitude, and cost and entropic
+objective within 1e-9 relative.
+
 The solve never forms the plan. Convergence is tested from the duals: the
-row marginal is ``exp(f/eps + S)``, where S is the LSE the next f-update
-needs, and the column marginal reuses the LSE just computed for g. The last
-row marginal also gives the plan's total mass for the entropic objective.
-``dense_plan`` builds ``pi_ij = exp((f_i + g_j - C_ij)/eps)`` from a solve
-when the plan itself is wanted.
+row marginal is ``exp(f/eps + S)`` (``a * Kb``), where S is the LSE the next
+f-update needs, and the column marginal reuses the LSE just computed for g
+(``b * K^T a``). The last row marginal also gives the plan's total mass for
+the entropic objective. ``dense_plan`` builds
+``pi_ij = exp((f_i + g_j - C_ij)/eps)`` from a solve when the plan itself is
+wanted.
 
 The reported transport value is the plan cost <pi, C>. That pairs with the
 dual-potential gradient, which is (up to solver tolerance) the exact gradient
@@ -42,6 +55,10 @@ import numpy as np
 from .errors import NumericError, ShapeError, ZeroMassError
 
 MASS_TOL = 1e-9
+# The exp-domain grid loop keeps every scaling within exp(+-_LOG_BOUND), short
+# of float64's exp(709), and every denominator on the support a normal float.
+_LOG_BOUND = 600.0
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -152,14 +169,68 @@ def _dense_kernel(c: np.ndarray, eps: float):
             lambda u, v: float((np.exp(neg_c + u[:, None] + v) * c).sum()))
 
 
+def _scaling_loop(p, q, v, problem):
+    """Sinkhorn-Knopp on ``problem``'s grid in the exp domain, from ``v = log b``.
+
+    Holds the scalings a = exp(u), b = exp(v) as h x w maps. ``K b`` is
+    ``kh @ b @ kw`` with the 1-D Gibbs kernels ``exp(-Dr/eps)`` and
+    ``exp(-Dc/eps)``, and they are symmetric, so ``K^T a`` is ``kh @ a @ kw``.
+    Every scaling must stay within exp(+-_LOG_BOUND) on its marginal's
+    support, with a denominator that is a normal float there. Returns
+    ``(iterations, v, last)``: ``last`` is the finished
+    ``(iterations, u, v, rows, err)``, or None when a half-step left that
+    range, and then ``v`` is the last good ``log b`` for the log-domain loop
+    to resume from after ``iterations``. A kernel with an entry below the
+    smallest normal float gives ``(0, v, None)`` at once.
+    """
+    eps = float(problem.epsilon)
+    kh, kw = (np.exp(-_line_cost(n) / eps) for n in problem.cost)
+    if min(kh.min(), kw.min()) < _TINY:
+        return 0, v, None
+    p, q = p.reshape(problem.cost), q.reshape(problem.cost)
+    low = np.exp(-_LOG_BOUND)
+
+    def bounds(m):
+        # m / d must lie in [low, high] where m > 0 and is 0 where m is; high
+        # is below m / _TINY, so a denominator under _TINY there fails too
+        return np.where(m > 0, low, 0.0), min(1.0 / low, 0.5 * m[m > 0].min() / _TINY)
+
+    def scale(m, d, lowest, high):
+        s = m / np.maximum(d, _TINY)
+        return s if s.max() <= high and (s - lowest).min() >= 0 else None
+
+    p_bounds, q_bounds = bounds(p), bounds(q)
+    b = np.exp(v).reshape(q.shape)
+    kb = kh @ b @ kw
+    for it in range(1, problem.max_iters + 1):
+        a = scale(p, kb, *p_bounds)
+        if a is None:
+            return it - 1, np.log(b).reshape(-1), None
+        kta = kh @ a @ kw
+        b_next = scale(q, kta, *q_bounds)
+        if b_next is None:
+            return it - 1, np.log(b).reshape(-1), None
+        b = b_next
+        kb = kh @ b @ kw
+        # row sums of the plan are a * Kb, column sums b * K^T a
+        rows = a * kb
+        err = max(np.abs(rows - p).sum(), np.abs(b * kta - q).sum())
+        if err <= problem.tolerance:
+            break
+    return it, None, (it, np.log(a).reshape(-1), np.log(b).reshape(-1), rows.reshape(-1), err)
+
+
 def sinkhorn(problem: TransportProblem) -> TransportPlan:
-    """Log-domain Sinkhorn-Knopp scaling for the entropic transport problem.
+    """Sinkhorn-Knopp scaling for the entropic transport problem.
 
     Runs until both marginal L1 errors drop below the problem tolerance or
     ``max_iters`` is exhausted; the latter returns ``converged=False`` rather
     than raising. Zero entries in p or q are handled exactly (their rows and
-    columns of the plan are zero). The loop carries the scaled duals
-    u = f/eps and v = g/eps; the plan is never formed.
+    columns of the plan are zero). A grid is scaled in the exp domain
+    (``_scaling_loop``); a dense cost runs the log-domain loop, which carries
+    the scaled duals u = f/eps and v = g/eps, and so does a grid the exp
+    domain cannot hold, from the start or from the exp loop's last good
+    duals. The plan is never formed.
     """
     problem.validate()
     p = problem.p.astype(np.float64)
@@ -175,20 +246,26 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
         logp = np.log(p)
         logq = np.log(q)
         v = np.where(q > 0, 0.0, -np.inf)
-        s = row_lse(v)
-        for it in range(1, problem.max_iters + 1):
-            u = logp - s
-            t = col_lse(u)
-            v = logq - t
+        done, last = 0, None
+        if isinstance(problem.cost, tuple):
+            done, v, last = _scaling_loop(p, q, v, problem)
+        if last is None:
             s = row_lse(v)
-            # row sums of the plan are exp(u + s), column sums exp(v + t)
-            rows = np.exp(u + s)
-            err = max(
-                np.abs(rows - p).sum(),
-                np.abs(np.exp(v + t) - q).sum(),
-            )
-            if err <= problem.tolerance:
-                break
+            for it in range(done + 1, problem.max_iters + 1):
+                u = logp - s
+                t = col_lse(u)
+                v = logq - t
+                s = row_lse(v)
+                # row sums of the plan are exp(u + s), column sums exp(v + t)
+                rows = np.exp(u + s)
+                err = max(
+                    np.abs(rows - p).sum(),
+                    np.abs(np.exp(v + t) - q).sum(),
+                )
+                if err <= problem.tolerance:
+                    break
+            last = it, u, v, rows, err
+        it, u, v, rows, err = last
         cost = cost_of(u, v)
 
     f, g = eps * u, eps * v

@@ -366,8 +366,10 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
     wmat = weight.data.reshape(cout, -1)
     geometry = (kh, kw, sh, sw, ho, wo)
     out = np.empty((n, cout, ho * wo), np.result_type(x.data, wmat))
-    for s, r0, r, cols in _conv_bands(_padded(x.data, ph, pw), *geometry):
-        np.matmul(wmat, cols, out=out[s, :, r0 * wo : (r0 + r) * wo])
+    # a non-finite weight times a zero pad is NaN; _make's check reports it
+    with np.errstate(invalid="ignore", over="ignore"):
+        for s, r0, r, cols in _conv_bands(_padded(x.data, ph, pw), *geometry):
+            np.matmul(wmat, cols, out=out[s, :, r0 * wo : (r0 + r) * wo])
     out_data = out.reshape(n, cout, ho, wo)
     if b is not None:
         out_data = _into(np.add, out_data, b.data.reshape(1, cout, 1, 1))

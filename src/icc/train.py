@@ -210,28 +210,32 @@ def train(config: TrainConfig) -> TrainResult:
         sums = np.zeros(4)  # loss, l_c, l_ot, l_tv
         n_samples = 0
         solves = []  # (iterations, converged, marginal error) of each solve
-        for start in range(0, len(order), config.batch_size):
+        for step, start in enumerate(range(0, len(order), config.batch_size)):
             idx = order[start : start + config.batch_size]
             samples = [random_crop_padded(normalized[i], hc, wc, rng) for i in idx]
-            batch = np.stack([s.image for s in samples])
-            run = M.forward(graph, params, batch, mode="train", requires_grad=True)
-            out = run.output.data  # [B, 1, h', w']
-            seed_grad = np.zeros_like(out)
-            for i, s in enumerate(samples):
-                value, (lc, lot, ltv), grad, solve = _sample_loss(
-                    s.target.values.astype(np.float64), out[i, 0].astype(np.float64), config
-                )
-                if not np.isfinite(value):
-                    raise NumericError(
-                        f"training loss diverged at epoch {epoch} (sample {s.source_id}); "
-                        f"last good checkpoint retained at {ckpt_path}"
+            try:
+                batch = np.stack([s.image for s in samples])
+                run = M.forward(graph, params, batch, mode="train", requires_grad=True)
+                out = run.output.data  # [B, 1, h', w']
+                seed_grad = np.zeros_like(out)
+                for i, s in enumerate(samples):
+                    value, (lc, lot, ltv), grad, solve = _sample_loss(
+                        s.target.values.astype(np.float64), out[i, 0].astype(np.float64), config
                     )
-                if solve is not None:
-                    solves.append(solve)
-                seed_grad[i, 0] = grad / len(samples)
-                sums += (value, lc, lot, ltv)
-                n_samples += 1
-            grads = run.backward(seed_grad)
+                    if not np.isfinite(value):
+                        raise NumericError(
+                            f"training loss diverged on sample {s.source_id}; "
+                            f"last good checkpoint retained at {ckpt_path}"
+                        )
+                    if solve is not None:
+                        solves.append(solve)
+                    seed_grad[i, 0] = grad / len(samples)
+                    sums += (value, lc, lot, ltv)
+                    n_samples += 1
+                grads = run.backward(seed_grad)
+            except NumericError as e:
+                ids = ", ".join(s.source_id for s in samples)
+                raise type(e)(f"epoch {epoch} step {step} (samples {ids}): {e}") from e
             opt.step(grads)
 
         val_mae = _validation_mae(graph, params, val_normalized)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import numeric_gradient, rel_error
+from icc import loss as L
 from icc.errors import NumericError, ShapeError, ZeroMassError
 from icc.loss import (
     DMCountLoss,
@@ -195,6 +196,119 @@ class TestSinkhorn:
             assert np.all(a[~finite] == -np.inf)
             scale = max(np.abs(b[finite]).max(), eps)
             assert np.abs(a[finite] - b[finite]).max() <= 1e-12 * scale
+
+
+@st.composite
+def wide_grid_problems(draw):
+    """(h, w, p, q, eps, cap) on grids up to 24 x 24 with zero cells.
+
+    The cap reaches 3000 on small grids and shrinks with the cell count, so
+    the dense reference stays quick.
+    """
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, q = rng.uniform(0.01, 1.0, (2, h * w)) * (rng.uniform(size=(2, h * w))
+                                                   >= draw(st.floats(0.0, 0.9)))
+    if draw(st.booleans()):
+        # supports in opposite corners, so that mass moves far and the
+        # scalings grow large at small eps
+        gap = draw(st.floats(0.0, 0.6))
+        s = (np.add.outer(np.arange(h) / h, np.arange(w) / w)).ravel()
+        p, q = p * (s < 1.0 - gap), q * (s > 1.0 + gap)
+    p[0] = q[-1] = 1.0  # both keep some mass
+    # eps in multiples of the one at which the smallest 1-D kernel entry,
+    # exp(-(n - 1)^2 / eps), leaves the normal floats (exp(-708))
+    eps = max(h - 1, w - 1, 1) ** 2 / 708 * 10 ** draw(st.floats(-0.3, 2.5))
+    cap = draw(st.integers(1, min(3000, 60_000 // (h * w))))
+    return h, w, p / p.sum(), q / q.sum(), eps, cap
+
+
+def assert_matches_log_domain(grid, dense, eps):
+    """A grid solve against the dense log-domain reference at the same cap.
+
+    Reordered arithmetic, so to a tolerance: equal iterations and converged
+    flag, the same infinite cells, potentials within 1e-10 of their largest
+    finite magnitude (floored at eps, for potentials that are all zero),
+    cost and entropic objective within 1e-9 relative.
+    """
+    assert grid.iterations == dense.iterations
+    assert grid.converged == dense.converged
+    for a, b in ((grid.potential_p, dense.potential_p), (grid.potential_q, dense.potential_q)):
+        finite = np.isfinite(b)
+        assert np.array_equal(np.isfinite(a), finite)
+        assert np.all(a[~finite] == -np.inf) and np.all(b[~finite] == -np.inf)
+        scale = max(np.abs(b[finite]).max(), eps)
+        assert np.abs(a[finite] - b[finite]).max() <= 1e-10 * scale
+    assert abs(grid.cost - dense.cost) <= 1e-9 * max(dense.cost, eps)
+    assert abs(grid.entropic_objective - dense.entropic_objective) <= (
+        1e-9 * max(abs(dense.entropic_objective), eps))
+
+
+class TestExpDomainGrid:
+    """A grid is scaled in the exp domain and hands over to the log-domain loop
+    when it cannot hold the scalings; a dense cost always runs the log-domain
+    loop, so a dense problem on ``grid_cost_matrix`` is the reference."""
+
+    @staticmethod
+    def solve_both(p, q, h, w, eps, cap):
+        dense = sinkhorn(TransportProblem(p, q, grid_cost_matrix(h, w), eps, cap))
+        return sinkhorn(TransportProblem(p, q, (h, w), eps, cap)), dense
+
+    @staticmethod
+    def record_handoffs(monkeypatch):
+        # each exp-domain run: (iterations done in it, whether it finished)
+        runs = []
+        real = L._scaling_loop
+
+        def spy(*args):
+            done, v, last = real(*args)
+            runs.append((done, last is not None))
+            return done, v, last
+
+        monkeypatch.setattr(L, "_scaling_loop", spy)
+        return runs
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=wide_grid_problems())
+    def test_matches_log_domain_reference(self, problem):
+        h, w, p, q, eps, cap = problem
+        assert_matches_log_domain(*self.solve_both(p, q, h, w, eps, cap), eps)
+
+    def test_hands_over_mid_solve_and_still_matches(self, monkeypatch):
+        # Mass in opposite corners of a 6 x 6 grid at an eps whose 1-D kernels
+        # stay normal (smallest entry exp(-25/eps) = exp(-583)): the scalings
+        # grow past exp(600) after some exp-domain iterations, and the
+        # log-domain loop finishes the solve from the last good duals.
+        rr, cc = np.mgrid[:6, :6]
+        p = ((rr < 2) & (cc < 2)).astype(float)
+        p[0, 0] = 2.0
+        q = ((rr >= 3) & (cc >= 3)).astype(float)
+        p, q = (p / p.sum()).ravel(), (q / q.sum()).ravel()
+        eps = 0.3 / 7
+        runs = self.record_handoffs(monkeypatch)
+        grid, dense = self.solve_both(p, q, 6, 6, eps, 1000)
+        [(done, finished)] = runs
+        assert not finished and 0 < done < grid.iterations
+        assert grid.converged
+        assert_matches_log_domain(grid, dense, eps)
+
+    @pytest.mark.parametrize("case", ["subnormal-kernel", "tiny-mass"])
+    def test_falls_back_from_the_start(self, monkeypatch, case):
+        # A 1-D kernel entry below the smallest normal float (eps = 1e-4 x the
+        # mean cost), or a cell whose mass no scaling within exp(+-600) can
+        # carry: the log-domain loop runs every iteration.
+        rng = np.random.default_rng(17)
+        p, q = rng.dirichlet(np.ones(12)), rng.dirichlet(np.ones(12))
+        eps = 1e-4 * grid_cost_matrix(3, 4).mean()
+        if case == "tiny-mass":
+            p[5] = 0.0
+            p /= p.sum()
+            p[5] = 1e-300
+            eps = 0.5
+        runs = self.record_handoffs(monkeypatch)
+        grid, dense = self.solve_both(p, q, 3, 4, eps, 200)
+        assert runs == [(0, False)]
+        assert_matches_log_domain(grid, dense, eps)
 
 
 class TestCountingLoss:

@@ -1,5 +1,7 @@
 """Forward contracts of the tensor ops against loop references."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,17 @@ class TestConv2d:
         x[0, 0, 0, 0] = np.nan
         with pytest.raises(NumericError):
             T.conv2d(t64(x), t64(np.ones((1, 1, 1, 1))))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_infinite_weight_over_padding_raises_not_warns(self, k):
+        # inf times a zero pad is NaN inside the GEMM; with warnings as errors
+        # the op still reports NumericError, not numpy's matmul warning
+        w = np.ones((2, 3, k, k))
+        w[1, 2, 0, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError, match="conv2d: non-finite"):
+                T.conv2d(t64(np.ones((1, 3, 8, 8))), t64(w), padding=1)
 
 
 class TestSeparableConv2d:

@@ -438,6 +438,28 @@ class TestCLI:
 
 
 class TestDivergenceHandling:
+    def test_numeric_error_names_epoch_step_samples_and_layer(self, tiny_dirs, tmp_path,
+                                                               monkeypatch):
+        from icc.errors import NumericError
+
+        real = M.init_parameters
+
+        def poisoned(*args, **kwargs):
+            params = real(*args, **kwargs)
+            params["stem.conv1.conv.w"][0, 0, 1, 1] = np.inf
+            return params
+
+        monkeypatch.setattr(M, "init_parameters", poisoned)
+        with pytest.raises(NumericError) as raised:
+            TR.train(tiny_config(tiny_dirs, tmp_path / "inf"))
+        message = str(raised.value)
+        head, _, rest = message.partition(": ")
+        assert head.startswith("epoch 0 step 0 (samples ")
+        ids = head.removeprefix("epoch 0 step 0 (samples ").removesuffix(")").split(", ")
+        assert len(ids) == 3  # the batch size
+        assert set(ids) <= {f"synth_100_{i:04d}" for i in range(6)}
+        assert rest.startswith("stem.conv1.conv: conv2d: non-finite")
+
     def test_non_finite_loss_aborts_keeping_checkpoint(self, tiny_dirs, tmp_path, monkeypatch):
         from icc.errors import NumericError
 
