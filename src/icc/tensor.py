@@ -6,8 +6,8 @@ reverse sweep. The operator set is exactly what the counting network needs:
 conv2d (plus the two-stage separable form), max/avg pooling, adaptive average
 pooling, batch norm, relu/sigmoid, bilinear/nearest resizing, channel
 concat/sum and elementwise arithmetic, each a function (a Tensor has no
-arithmetic operators). An op's output has its tensor operands' dtype; a number given to the arithmetic ops takes the dtype of the
-Tensor beside it.
+arithmetic operators). An op's output has its tensor operands' dtype; a
+number given to the arithmetic ops takes the dtype of the Tensor beside it.
 
 Every forward op validates that its output is finite; NaN/Inf raises
 NumericError immediately instead of propagating silently.
@@ -18,13 +18,14 @@ a fixed-size column buffer one band of output rows at a time and multiplies
 each band straight into its slice of the output (a 1x1 stride-1 conv reads
 each sample's padded input as its band's columns, with no copy); its
 backward walks the same bands again and fills each band's columns anew, so
-no column matrix is held between the forward and the backward pass. Pooling
-reduces shifted strided views of the padded input, and its backward adds
-into the same views (max pooling pads its input again there). Conv and
-pooling share one window rule, ``window_out``, which shape inference in
-``icc.model`` uses too, and one set of offset views. Bilinear and nearest
-resizing and adaptive average pooling are separable linear maps, Rh·x·Rwᵀ,
-with the adjoint Rhᵀ·g·Rw as backward.
+no column matrix is held between the forward and the backward pass. Max
+pooling reduces shifted strided views of the padded input, and its backward
+pads the input again and adds into the same views. Conv and pooling share
+one window rule, ``window_out``, which shape inference in ``icc.model``
+uses too; conv and max pooling share one set of offset views. Average and
+adaptive average pooling and bilinear and nearest resizing are separable
+linear maps, Rh·x·Rwᵀ, with the adjoint Rhᵀ·g·Rw as backward; all but
+bilinear resizing take their weights from one box rule.
 """
 
 from __future__ import annotations
@@ -303,7 +304,8 @@ def _padded(a: np.ndarray, ph: int, pw: int, fill: float = 0.0) -> np.ndarray:
 
 def _window_views(a: np.ndarray, wh, ww, sh, sw, ho, wo) -> list:
     """For each window offset in row-major order, the strided view of ``a``'s
-    two trailing axes that the ho x wo windows read at that offset."""
+    two trailing axes that the ho x wo windows read at that offset: the conv
+    band fill and input-gradient scatter and both max pooling passes."""
     return [
         a[..., i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw]
         for i in range(wh)
@@ -419,20 +421,14 @@ def separable_conv2d(x, kernel_v, kernel_h, stride=1, padding=(0, 0), bias=None)
 # -- pooling ----------------------------------------------------------------
 
 
-def _fold(views: list, reduce) -> np.ndarray:
-    """``reduce`` over ``views`` left to right, into one fresh array."""
+def _fold(views: list) -> np.ndarray:
+    """The elementwise maximum of ``views``, left to right, into one fresh array."""
     if len(views) == 1:
         return views[0].copy()
-    acc = reduce(views[0], views[1])
+    acc = np.maximum(views[0], views[1])
     for v in views[2:]:
-        reduce(acc, v, out=acc)
+        np.maximum(acc, v, out=acc)
     return acc
-
-
-def _pool_shifted(xp: np.ndarray, wh, ww, sh, sw, ho, wo, reduce) -> np.ndarray:
-    """Each window of ``xp`` reduced as a wh x 1 window, then a 1 x ww one."""
-    rows = _fold(_window_views(xp, wh, 1, sh, 1, ho, xp.shape[3]), reduce)
-    return _fold(_window_views(rows, 1, ww, 1, sw, ho, wo), reduce)
 
 
 def maxpool2d(x, window, stride=None, padding=0) -> Tensor:
@@ -440,7 +436,9 @@ def maxpool2d(x, window, stride=None, padding=0) -> Tensor:
     stride = window if stride is None else stride
     wh, ww, sh, sw, ph, pw, ho, wo = _window("maxpool2d", x, window, stride, padding, max_pool=True)
     xp = _padded(x.data, ph, pw, -np.inf)
-    out_data = _pool_shifted(xp, wh, ww, sh, sw, ho, wo, np.maximum)
+    # Each window's maximum as a wh x 1 window's, then a 1 x ww window's.
+    rows = _fold(_window_views(xp, wh, 1, sh, 1, ho, xp.shape[3]))
+    out_data = _fold(_window_views(rows, 1, ww, 1, sw, ho, wo))
 
     def backward(g):
         geometry = (wh, ww, sh, sw, ho, wo)
@@ -461,26 +459,6 @@ def maxpool2d(x, window, stride=None, padding=0) -> Tensor:
         _accumulate(x, gp[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]])
 
     return _make(out_data, (x,), backward, "maxpool2d")
-
-
-def avgpool2d(x, window, stride=None, padding=0) -> Tensor:
-    """Mean pooling; zero padding counts toward the window size."""
-    x = _coerce(x)
-    stride = window if stride is None else stride
-    wh, ww, sh, sw, ph, pw, ho, wo = _window("avgpool2d", x, window, stride, padding)
-    xp = _padded(x.data, ph, pw)
-    out_data = _pool_shifted(xp, wh, ww, sh, sw, ho, wo, np.add)
-    out_data /= wh * ww
-    padded_shape = xp.shape  # the backward keeps the shape, not the padded copy
-
-    def backward(g):
-        gp = np.zeros(padded_shape, g.dtype)
-        share = g / (wh * ww)
-        for view in _window_views(gp, wh, ww, sh, sw, ho, wo):
-            view += share
-        _accumulate(x, gp[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]])
-
-    return _make(out_data, (x,), backward, "avgpool2d")
 
 
 # -- batch normalization ----------------------------------------------------
@@ -558,9 +536,18 @@ def batchnorm2d(
 
 # -- resampling -------------------------------------------------------------
 #
-# Bilinear and nearest resizing and adaptive average pooling are each one
-# linear map per spatial axis, an [out, in] matrix R: the output is
-# Rh·x·Rwᵀ and the backward its adjoint, Rhᵀ·g·Rw.
+# Average and adaptive average pooling and bilinear and nearest resizing are
+# each one linear map per spatial axis, an [out, in] matrix R: the output is
+# Rh·x·Rwᵀ and the backward its adjoint, Rhᵀ·g·Rw. All but bilinear resizing
+# take box weights, each output the mean of a range of inputs.
+
+
+def _box_axis(n_in: int, lo: np.ndarray, hi: np.ndarray, size, dtype) -> np.ndarray:
+    """Row o is 1/size_o on [lo_o, hi_o) ∩ [0, n_in); an average pool's size
+    counts the zero padding its window covers outside [0, n_in)."""
+    cols = np.arange(n_in)
+    inside = (cols >= lo[:, None]) & (cols < hi[:, None])
+    return (inside / np.reshape(size, (-1, 1))).astype(dtype)
 
 
 def _bilinear_axis(n_in: int, n_out: int, dtype) -> np.ndarray:
@@ -576,21 +563,6 @@ def _bilinear_axis(n_in: int, n_out: int, dtype) -> np.ndarray:
     return r
 
 
-def _nearest_axis(n_in: int, n_out: int, dtype) -> np.ndarray:
-    """One-hot rows: output o takes input floor(o * n_in / n_out)."""
-    r = np.zeros((n_out, n_in), dtype)
-    r[np.arange(n_out), np.arange(n_out) * n_in // n_out] = 1.0
-    return r
-
-
-def _adaptive_axis(n_in: int, n_out: int, dtype) -> np.ndarray:
-    """Row o averages the inputs in [floor(o n_in / n_out), ceil((o + 1) n_in / n_out))."""
-    o = np.arange(n_out)[:, None]
-    lo, hi = o * n_in // n_out, -(-(o + 1) * n_in // n_out)
-    cols = np.arange(n_in)
-    return (((cols >= lo) & (cols < hi)) / (hi - lo)).astype(dtype)
-
-
 def _separable(rh: np.ndarray, rw: np.ndarray, a: np.ndarray) -> np.ndarray:
     """rh·a·rwᵀ over the two trailing axes of a 4-D array: along H, then W."""
     along_h = np.matmul(rh, a)
@@ -602,7 +574,22 @@ def _resample(x: Tensor, rh: np.ndarray, rw: np.ndarray, op: str) -> Tensor:
     def backward(g):
         _accumulate(x, _separable(rh.T, rw.T, g))
 
-    return _make(_separable(rh, rw, x.data), (x,), backward, op)
+    # A non-finite input meets zero weights (inf·0); _make reports it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        out_data = _separable(rh, rw, x.data)
+    return _make(out_data, (x,), backward, op)
+
+
+def avgpool2d(x, window, stride=None, padding=0) -> Tensor:
+    """Mean pooling; zero padding counts toward the window size."""
+    x = _coerce(x)
+    stride = window if stride is None else stride
+    wh, ww, sh, sw, ph, pw, ho, wo = _window("avgpool2d", x, window, stride, padding)
+    axes = []
+    for n_in, n_out, k, s, p in ((x.shape[2], ho, wh, sh, ph), (x.shape[3], wo, ww, sw, pw)):
+        lo = np.arange(n_out) * s - p
+        axes.append(_box_axis(n_in, lo, lo + k, k, x.dtype))
+    return _resample(x, *axes, "avgpool2d")
 
 
 def adaptive_avgpool2d(x, out_h: int, out_w: int) -> Tensor:
@@ -615,8 +602,12 @@ def adaptive_avgpool2d(x, out_h: int, out_w: int) -> Tensor:
         raise ShapeError(
             f"adaptive_avgpool2d: target {(out_h, out_w)} invalid for input {(h, w)}"
         )
-    rh, rw = _adaptive_axis(h, out_h, x.dtype), _adaptive_axis(w, out_w, x.dtype)
-    return _resample(x, rh, rw, "adaptive_avgpool2d")
+    axes = []
+    for n_in, n_out in ((h, out_h), (w, out_w)):
+        o = np.arange(n_out)
+        lo, hi = o * n_in // n_out, -(-(o + 1) * n_in // n_out)
+        axes.append(_box_axis(n_in, lo, hi, hi - lo, x.dtype))
+    return _resample(x, *axes, "adaptive_avgpool2d")
 
 
 def interpolate(x, out_h: int, out_w: int, method: str = "bilinear") -> Tensor:
@@ -628,9 +619,14 @@ def interpolate(x, out_h: int, out_w: int, method: str = "bilinear") -> Tensor:
         raise ShapeError(f"interpolate: target size {(out_h, out_w)} must be positive")
     if method not in ("bilinear", "nearest"):
         raise ValueError(f"interpolate: unknown method {method!r}")
-    axis = _bilinear_axis if method == "bilinear" else _nearest_axis
-    h, w = x.shape[2:]
-    return _resample(x, axis(h, out_h, x.dtype), axis(w, out_w, x.dtype), "interpolate")
+    axes = []
+    for n_in, n_out in ((x.shape[2], out_h), (x.shape[3], out_w)):
+        if method == "bilinear":
+            axes.append(_bilinear_axis(n_in, n_out, x.dtype))
+        else:
+            lo = np.arange(n_out) * n_in // n_out
+            axes.append(_box_axis(n_in, lo, lo + 1, 1, x.dtype))
+    return _resample(x, *axes, "interpolate")
 
 
 def upsample(x, factor: int, method: str = "bilinear") -> Tensor:

@@ -280,7 +280,13 @@ class TestFiniteCheck:
             x, T.Tensor(np.ones(3, np.float32), requires_grad=grad),
             T.Tensor(np.zeros(3, np.float32), requires_grad=grad),
             np.zeros(3, np.float32), np.ones(3, np.float32), mode="eval"),
+        "interpolate": lambda x, grad: T.interpolate(x, 7, 4),
+        "interpolate-nearest": lambda x, grad: T.interpolate(x, 3, 8, "nearest"),
+        "upsample": lambda x, grad: T.upsample(x, 2),
+        "adaptive_avgpool2d": lambda x, grad: T.adaptive_avgpool2d(x, 2, 3),
     }
+    # the op that names itself in the error, where it is not the case's key
+    RAISED_AS = {"interpolate-nearest": "interpolate", "upsample": "interpolate"}
 
     @pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
@@ -290,7 +296,7 @@ class TestFiniteCheck:
     def test_non_finite_raises_naming_the_op(self, op, value, grad, position):
         x = np.random.default_rng(position).standard_normal((2, 3, 5, 6)).astype(np.float32)
         x.reshape(-1)[position] = value
-        with pytest.raises(NumericError, match=f"^{op}: "):
+        with pytest.raises(NumericError, match=f"^{self.RAISED_AS.get(op, op)}: "):
             self.OPS[op](T.Tensor(x, requires_grad=grad), grad)
 
 

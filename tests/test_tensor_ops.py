@@ -368,12 +368,15 @@ class TestResampling:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        method=st.sampled_from(["bilinear", "nearest", "adaptive"]),
+        method=st.sampled_from(["bilinear", "nearest", "adaptive", "avgpool"]),
         h=st.integers(1, 12), w=st.integers(1, 12),
         oh=st.integers(1, 12), ow=st.integers(1, 12),
         seed=st.integers(0, 2**16),
+        window=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        pad=st.tuples(st.integers(0, 2), st.integers(0, 2)),
     )
-    def test_backward_is_the_adjoint(self, method, h, w, oh, ow, seed):
+    def test_backward_is_the_adjoint(self, method, h, w, oh, ow, seed, window, stride, pad):
         # <R x, g> == <x, R^T g> for the linear map R of each resampling op
         if method == "adaptive":  # pools onto at most the input's extent
             h, oh = max(h, oh), min(h, oh)
@@ -382,6 +385,9 @@ class TestResampling:
         x = t64(rng.normal(size=(2, 3, h, w)), grad=True)
         if method == "adaptive":
             out = T.adaptive_avgpool2d(x, oh, ow)
+        elif method == "avgpool":  # a window that fits the padded input
+            window = (min(window[0], h + 2 * pad[0]), min(window[1], w + 2 * pad[1]))
+            out = T.avgpool2d(x, window, stride, pad)
         else:
             out = T.interpolate(x, oh, ow, method)
         g = rng.normal(size=out.shape)
