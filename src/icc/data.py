@@ -284,12 +284,7 @@ def write_density(path, dmap: DensityMap | np.ndarray) -> None:
         f.write(np.ascontiguousarray(values).tobytes())
 
 
-def read_grid(path) -> np.ndarray:
-    """Read an ICCD file as a raw 2-D float32 grid (no semantic checks).
-
-    Debug dumps (transport plans, dual potentials) reuse the container and
-    may carry negative values; use ``read_density`` for actual density maps.
-    """
+def read_density(path) -> DensityMap:
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
@@ -305,11 +300,7 @@ def read_grid(path) -> np.ndarray:
     body = raw[16 : 16 + 4 * h * w]
     if len(body) != 4 * h * w:
         raise DataError(f"{path}: truncated ICCD data")
-    return np.frombuffer(body, dtype="<f4").reshape(h, w).copy()
-
-
-def read_density(path) -> DensityMap:
-    return DensityMap(read_grid(path))
+    return DensityMap(np.frombuffer(body, dtype="<f4").reshape(h, w).copy())
 
 
 # -- dataset directories ----------------------------------------------------------

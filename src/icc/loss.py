@@ -348,15 +348,11 @@ def ot_loss(
     epsilon: float | None = None,
     max_iters: int = 200,
     tolerance: float = 1e-6,
-    dump_prefix: str | None = None,
 ) -> OTLossResult:
     """Transport loss between normalized density maps on their pixel grid.
 
     ``epsilon`` defaults to 0.01 * the mean grid cost. Raises
-    ZeroMassError when either map has no mass. With ``dump_prefix`` the
-    solved plan and both dual potentials are written as density-map files
-    (``<prefix>.plan.iccd``, ``<prefix>.potential_p.iccd``,
-    ``<prefix>.potential_q.iccd``) for inspection.
+    ZeroMassError when either map has no mass.
     """
     y, yhat = _density_maps("ot_loss", y, yhat, need_mass=True)
     sy, syh = y.sum(), yhat.sum()
@@ -377,13 +373,6 @@ def ot_loss(
     g = np.where(np.isfinite(plan.potential_q), plan.potential_q, 0.0)
     qvec = problem.q
     grad = ((g - g @ qvec) / syh).reshape(y.shape)
-    if dump_prefix is not None:
-        from .data import write_density
-
-        f = np.where(np.isfinite(plan.potential_p), plan.potential_p, 0.0)
-        write_density(f"{dump_prefix}.plan.iccd", dense_plan(problem, plan).astype(np.float32))
-        write_density(f"{dump_prefix}.potential_p.iccd", f.reshape(y.shape).astype(np.float32))
-        write_density(f"{dump_prefix}.potential_q.iccd", g.reshape(y.shape).astype(np.float32))
     return OTLossResult(
         value=plan.cost,
         grad=grad,

@@ -261,7 +261,10 @@ class _Builder:
         self.channels: dict[str, int] = {}
 
     def w(self, c: int) -> int:
-        return max(1, int(round(c * self.width_scale)))
+        scaled = c * self.width_scale
+        if not math.isfinite(scaled):
+            raise ConfigError(f"width scale {self.width_scale} makes a {c}-channel layer infinite")
+        return max(1, int(round(scaled)))
 
     def emit(self, name, kind, inputs=(), attrs=None, block=None, channels=None):
         self.layers.append(Layer(name, kind, tuple(inputs), dict(attrs or {}), block))

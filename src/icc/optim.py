@@ -6,6 +6,10 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
+# Adam's moment decay rates and the denominator's floor.
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+
 
 class AdamW:
     """Decoupled-weight-decay Adam over a name -> array parameter map.
@@ -18,14 +22,10 @@ class AdamW:
         self,
         params: dict[str, np.ndarray],
         lr: float = 1e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 1e-4,
     ):
         self.params = params
         self.set_lr(lr)
-        self.betas = betas
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
         self.m = {k: np.zeros_like(p) for k, p in params.items()}
@@ -56,7 +56,7 @@ class AdamW:
             live.append((name, p, g))
 
         lr = self.lr
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         t = self.step_count + 1
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t
@@ -71,5 +71,5 @@ class AdamW:
             vhat = v / bc2
             if self.weight_decay != 0.0:
                 p -= lr * self.weight_decay * p
-            p -= (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.dtype, copy=False)
+            p -= (lr * mhat / (np.sqrt(vhat) + EPS)).astype(p.dtype, copy=False)
         self.step_count = t

@@ -16,9 +16,10 @@ An op records its backward exactly when one of its operands requires grad.
 Each op has one forward, which runs whether or not it records. conv2d fills
 a fixed-size column buffer one band of output rows at a time and multiplies
 each band straight into its slice of the output (a 1x1 stride-1 conv reads
-each sample's padded input as its band's columns, with no copy); its
-backward walks the same bands again and fills each band's columns anew, so
-no column matrix is held between the forward and the backward pass. Max
+each sample's padded input as its band's columns, with no copy). Its weight
+gradient refills the same bands, so no column matrix is held between the
+passes; its input gradient runs the same band loop as a forward conv of the
+stride-spread gradient with the flipped, channel-swapped kernel. Max
 pooling reduces shifted strided views of the padded input, and its backward
 pads the input again and adds into the same views. Conv and pooling share
 one window rule, ``window_out``, which shape inference in ``icc.model``
@@ -305,7 +306,7 @@ def _padded(a: np.ndarray, ph: int, pw: int, fill: float = 0.0) -> np.ndarray:
 def _window_views(a: np.ndarray, wh, ww, sh, sw, ho, wo) -> list:
     """For each window offset in row-major order, the strided view of ``a``'s
     two trailing axes that the ho x wo windows read at that offset: the conv
-    band fill and input-gradient scatter and both max pooling passes."""
+    band fill and both max pooling passes."""
     return [
         a[..., i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw]
         for i in range(wh)
@@ -343,6 +344,18 @@ def _conv_bands(xp: np.ndarray, kh, kw, sh, sw, ho, wo):
             yield s, r0, r, cols.reshape(k, r * wo)
 
 
+def _correlate(xp: np.ndarray, wmat: np.ndarray, kh, kw, sh, sw, ho, wo) -> np.ndarray:
+    """[N, Cout, ho*wo]: the [Cout, C*kh*kw] ``wmat`` times each band's columns
+    of the padded input ``xp``, written straight into its slice of the output."""
+    n = xp.shape[0]
+    out = np.empty((n, wmat.shape[0], ho * wo), np.result_type(xp, wmat))
+    # a non-finite weight times a zero pad is NaN; _make's check reports it
+    with np.errstate(invalid="ignore", over="ignore"):
+        for s, r0, r, cols in _conv_bands(xp, kh, kw, sh, sw, ho, wo):
+            np.matmul(wmat, cols, out=out[s, :, r0 * wo : (r0 + r) * wo])
+    return out
+
+
 def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
     """2-D cross-correlation over NCHW input.
 
@@ -365,38 +378,32 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
             raise ShapeError(f"conv2d: bias shape {b.shape} != ({cout},) (dim 0)")
 
     parents = (x, weight) if b is None else (x, weight, b)
-    wmat = weight.data.reshape(cout, -1)
     geometry = (kh, kw, sh, sw, ho, wo)
-    out = np.empty((n, cout, ho * wo), np.result_type(x.data, wmat))
-    # a non-finite weight times a zero pad is NaN; _make's check reports it
-    with np.errstate(invalid="ignore", over="ignore"):
-        for s, r0, r, cols in _conv_bands(_padded(x.data, ph, pw), *geometry):
-            np.matmul(wmat, cols, out=out[s, :, r0 * wo : (r0 + r) * wo])
+    out = _correlate(_padded(x.data, ph, pw), weight.data.reshape(cout, -1), *geometry)
     out_data = out.reshape(n, cout, ho, wo)
     if b is not None:
         out_data = _into(np.add, out_data, b.data.reshape(1, cout, 1, 1))
 
     def backward(g):
-        gmat = g.reshape(n, cout, ho * wo)
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
-        # The input is padded and each band's columns filled again here rather
-        # than kept from the forward pass, so a step holds neither for long.
-        xp = _padded(x.data, ph, pw)
-        gw = np.zeros(wmat.shape, g.dtype)
-        gxp = np.zeros(xp.shape, g.dtype) if x.requires_grad else None
-        for s, r0, r, cols in _conv_bands(xp, *geometry):
-            gband = gmat[s, :, r0 * wo : (r0 + r) * wo]
-            if weight.requires_grad:
-                gw += gband @ cols.T
-            if gxp is not None:
-                gcols = (wmat.T @ gband).reshape(cin, kh * kw, r, wo)
-                views = _window_views(gxp[s, :, sh * r0 :], kh, kw, sh, sw, r, wo)
-                for o, view in enumerate(views):
-                    view += gcols[:, o]
-        _accumulate(weight, gw.reshape(weight.shape))
-        if gxp is not None:
-            _accumulate(x, gxp[:, :, ph : ph + h, pw : pw + w])
+        if weight.requires_grad:
+            # The input is padded and each band's columns filled again here
+            # rather than kept from the forward pass, so a step holds neither for long.
+            gmat = g.reshape(n, cout, ho * wo)
+            gw = np.zeros((cout, cin * kh * kw), g.dtype)
+            for s, r0, r, cols in _conv_bands(_padded(x.data, ph, pw), *geometry):
+                gw += gmat[s, :, r0 * wo : (r0 + r) * wo] @ cols.T
+            _accumulate(weight, gw.reshape(weight.shape))
+        if x.requires_grad:
+            # The transposed conv as a forward one: g spread by the stride
+            # with kh-1, kw-1 zeros ahead, correlated with the flipped kernel.
+            gz = np.zeros((n, cout, h + 2 * ph + kh - 1, w + 2 * pw + kw - 1), g.dtype)
+            gz[:, :, kh - 1 :: sh, kw - 1 :: sw][:, :, :ho, :wo] = g
+            wflip = weight.data[:, :, ::-1, ::-1].swapaxes(0, 1).reshape(cin, -1)
+            gx = _correlate(gz[:, :, ph : ph + h + kh - 1, pw : pw + w + kw - 1], wflip,
+                            kh, kw, 1, 1, h, w)
+            _accumulate(x, gx.reshape(n, cin, h, w))
 
     return _make(out_data, parents, backward, "conv2d")
 

@@ -56,6 +56,12 @@ class TrainConfig:
             raise ConfigError(f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}")
         if not 0.0 < self.lr_gamma <= 1.0:
             raise ConfigError(f"lr gamma must lie in (0, 1], got {self.lr_gamma}")
+        # the rate train() sets for the last epoch, computed as it does
+        if not self.learning_rate * self.lr_gamma ** (self.epochs - 1) > 0:
+            raise ConfigError(
+                f"learning_rate {self.learning_rate} x lr_gamma {self.lr_gamma} ** "
+                f"(epochs - 1 = {self.epochs - 1}) underflows to 0"
+            )
         if self.crop_size < 1 or self.crop_size % M.PAD_MULTIPLE:
             raise ConfigError(
                 f"crop size must be a positive multiple of {M.PAD_MULTIPLE}, got {self.crop_size}"

@@ -7,6 +7,8 @@ fixed random projection of its output, on random tensors no larger than
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import check_op_gradients, maxpool_grad_loop, numeric_gradient, rel_error
 from icc import tensor as T
@@ -27,6 +29,19 @@ def rand(*shape, seed=0, lo=-1.0, hi=1.0):
     return np.random.default_rng(seed).uniform(lo, hi, shape)
 
 
+@st.composite
+def conv_geometries(draw):
+    """(x shape, w shape, stride, padding): kernels 1-5, strides 1-3 and pads
+    0-3 per axis, pads at or above the kernel extent included, and extents
+    up to 12 whose last padded rows the stride may never read."""
+    kh, kw, sh, sw = (draw(st.integers(1, hi)) for hi in (5, 5, 3, 3))
+    ph, pw = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    h = draw(st.integers(max(1, kh - 2 * ph), 12))
+    w = draw(st.integers(max(1, kw - 2 * pw), 12))
+    n, cin, cout = (draw(st.integers(1, 3)) for _ in range(3))
+    return (n, cin, h, w), (cout, cin, kh, kw), (sh, sw), (ph, pw)
+
+
 class TestConvGradients:
     def test_conv2d_basic(self):
         x, w, b = t(rand(2, 3, 6, 6, seed=1)), t(rand(4, 3, 3, 3, seed=2)), t(rand(4, seed=3))
@@ -44,6 +59,26 @@ class TestConvGradients:
         # 1x1, stride 1, no padding: each sample's columns are a view of its input
         x, w, b = t(rand(2, 3, 5, 4, seed=11)), t(rand(4, 3, 1, 1, seed=12)), t(rand(4, seed=13))
         check_op_gradients(lambda: T.conv2d(x, w, bias=b), [x, w, b])
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry=conv_geometries())
+    @example(geometry=((2, 3, 6, 5), (2, 3, 2, 3), (3, 3), (3, 2)))  # pad >= kernel, rows unread
+    @example(geometry=((1, 2, 8, 9), (3, 2, 5, 4), (2, 3), (0, 1)))  # (h + 2p - k) % s != 0
+    @example(geometry=((2, 2, 1, 1), (2, 2, 1, 1), (3, 2), (3, 3)))  # a 1x1 input inside its pad
+    def test_conv2d_backward_is_adjoint(self, geometry):
+        # conv is bilinear, so <conv(x, w), g> = <x, dx> = <w, dw> for the
+        # gradients of <conv(x, w), g>, each to rounding of the sum of the
+        # absolute products, <conv(|x|, |w|), |g|>
+        x_shape, w_shape, stride, padding = geometry
+        rng = np.random.default_rng(sum(x_shape + w_shape + stride + padding))
+        x, w = t(rng.standard_normal(x_shape)), t(rng.standard_normal(w_shape))
+        out = T.conv2d(x, w, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        out.backward(g)
+        scale = np.vdot(T.conv2d(np.abs(x.data), np.abs(w.data), stride, padding).data, np.abs(g))
+        forward = np.vdot(out.data, g)
+        assert abs(np.vdot(x.data, x.grad) - forward) <= 1e-12 * scale
+        assert abs(np.vdot(w.data, w.grad) - forward) <= 1e-12 * scale
 
     def test_separable_conv2d(self):
         x = t(rand(1, 2, 7, 7, seed=8))

@@ -515,25 +515,3 @@ class TestGridCostMatrix:
     def test_neighbor_distances(self):
         c = grid_cost_matrix(2, 2)  # cells: (0,0) (0,1) (1,0) (1,1)
         assert c[0, 1] == 1.0 and c[0, 2] == 1.0 and c[0, 3] == 2.0
-
-
-class TestDebugDump:
-    def test_dump_writes_plan_and_potentials(self, tmp_path):
-        from icc.data import read_grid
-
-        rng = np.random.default_rng(20)
-        y = rng.uniform(0.1, 1.0, (3, 3))
-        yhat = rng.uniform(0.1, 1.0, (3, 3))
-        prefix = str(tmp_path / "ot_debug")
-        res = ot_loss(y, yhat, epsilon=0.5, max_iters=5000,
-                      dump_prefix=prefix)
-        plan = read_grid(f"{prefix}.plan.iccd")
-        assert plan.shape == (9, 9)
-        assert abs(plan.sum() - 1.0) < 1e-5
-        prob = TransportProblem((y / y.sum()).reshape(-1), (yhat / yhat.sum()).reshape(-1),
-                                (3, 3), epsilon=0.5)
-        assert np.array_equal(plan, dense_plan(prob, res.plan).astype(np.float32))
-        fpot = read_grid(f"{prefix}.potential_p.iccd")
-        gpot = read_grid(f"{prefix}.potential_q.iccd")
-        assert fpot.shape == (3, 3) and gpot.shape == (3, 3)
-        assert np.allclose(gpot, np.where(np.isfinite(res.plan.potential_q), res.plan.potential_q, 0.0).reshape(3, 3), atol=1e-5)

@@ -103,6 +103,10 @@ class TestConfig:
             for value in values:
                 with pytest.raises(ConfigError, match=key.replace("_", ".")):
                     TR.TrainConfig(**{key: value})
+        # the last epoch's rate, 1e-4 * (1e-200) ** 2, is 0.0 in floating point
+        with pytest.raises(ConfigError, match="learning_rate.*lr_gamma"):
+            TR.TrainConfig(lr_gamma=1e-200, epochs=3)
+        TR.TrainConfig(lr_gamma=1e-200, epochs=2)
 
     def test_malformed_line(self, tmp_path):
         f = tmp_path / "bad.cfg"
@@ -306,6 +310,12 @@ class TestCLI:
                        "--set", "epochs=zero"])
         assert rc == 2
         assert cli_main(["flops", "--width-scale", "nan"]) == 2
+        rc = cli_main(["train", "--train-dir", str(tmp_path), "--val-dir", str(tmp_path),
+                       "--set", "lr_gamma=1e-200", "--set", "epochs=3"])
+        assert rc == 2 and "lr_gamma" in capsys.readouterr().err
+        # finite and positive, but a layer's base width times it overflows
+        assert cli_main(["flops", "--width-scale", "1e308"]) == 2
+        assert "width scale 1e+308" in capsys.readouterr().err
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         rc = cli_main(["train", "--train-dir", str(tmp_path / "nope"),
