@@ -503,7 +503,8 @@ def parameter_count(graph: GraphDescription) -> int:
 # Rules get the values a layer reads: its inputs, then its ``match``; a layer
 # without inputs reads the graph input. Shapes are (C, H, W); costs are
 # (multiplies, adds) under ``flops.CONVENTION``. Forward ops look their
-# ``icc.tensor`` function up when they run, never at import.
+# ``icc.tensor`` function up when they run, never at import, and get the
+# buffer their output goes into, or None for a fresh one.
 
 
 @dataclass(frozen=True)
@@ -512,9 +513,11 @@ class Kind:
     arity: int | None  # number of inputs; None means one or more
     shape: Callable  # (attrs, input shapes) -> output shape
     cost: Callable  # (attrs, input shapes, output shape) -> (multiplies, adds)
-    run: Callable  # (layer, input tensors, parameters, mode) -> output tensor
+    run: Callable  # (layer, input tensors, parameters, mode, out) -> output tensor
     params: Callable = lambda l: []  # layer -> list[ParamSpec]
     optional: dict[str, type] = field(default_factory=dict)
+    into: bool = False  # run writes into an ``out`` buffer it is given
+    in_place: bool = False  # that buffer may be its first input's own
 
 
 def count_conv(
@@ -628,73 +631,79 @@ def _batchnorm_params(l: Layer) -> list[ParamSpec]:
     return [ParamSpec(f"{l.name}.{p}", c, f"bn_{p}", p in ("gamma", "beta")) for p in _BN_PARAMS]
 
 
-def _input_run(l, ins, p, mode):
+def _input_run(l, ins, p, mode, out):
     _channels_shape(l.attrs, [ins[0].shape[1:]])
     return T.Tensor(ins[0])
 
 
-def _conv_run(l, ins, p, mode):
+def _conv_run(l, ins, p, mode, out):
     a, bias = l.attrs, p[f"{l.name}.b"] if l.attrs.get("bias") else None
     return T.conv2d(ins[0], p[f"{l.name}.w"], stride=(a["stride_h"], a["stride_w"]),
                     padding=(a["pad_h"], a["pad_w"]), bias=bias)
 
 
-def _batchnorm_run(l, ins, p, mode):
+def _batchnorm_run(l, ins, p, mode, out):
     g, b, m, v = (p[f"{l.name}.{k}"] for k in _BN_PARAMS)
-    return T.batchnorm2d(ins[0], g, b, m, v, mode=mode, eps=BN_EPS, momentum=BN_MOMENTUM)
+    return T.batchnorm2d(ins[0], g, b, m, v, mode=mode, eps=BN_EPS, momentum=BN_MOMENTUM, out=out)
 
 
 def _pool_run(op: str):
-    def run(l, ins, p, mode):
+    def run(l, ins, p, mode, out):
         a = l.attrs
         stride, pad = (a["stride_h"], a["stride_w"]), (a["pad_h"], a["pad_w"])
-        return getattr(T, op)(ins[0], (a["window_h"], a["window_w"]), stride=stride, padding=pad)
+        into = {} if out is None else {"out": out}  # only maxpool is given a buffer
+        return getattr(T, op)(ins[0], (a["window_h"], a["window_w"]), stride=stride, padding=pad,
+                              **into)
 
     return run
 
 
-def _interpolate_run(l, ins, p, mode):
+def _interpolate_run(l, ins, p, mode, out):
     a = l.attrs
     if "factor" in a:
-        return T.upsample(ins[0], a["factor"], method=a["method"])
-    return T.interpolate(ins[0], ins[1].shape[2], ins[1].shape[3], method=a["method"])
+        return T.upsample(ins[0], a["factor"], method=a["method"], out=out)
+    return T.interpolate(ins[0], ins[1].shape[2], ins[1].shape[3], method=a["method"], out=out)
 
 
 def _op(name: str):
-    """Forward op calling ``icc.tensor.<name>`` on the input tensors."""
-    return lambda l, ins, p, mode: getattr(T, name)(*ins)
+    """Forward op calling ``icc.tensor.<name>(*inputs, out=out)``."""
+    return lambda l, ins, p, mode, out: getattr(T, name)(*ins, out=out)
 
 
 _STRIDE_PAD = dict(stride_h=int, stride_w=int, pad_h=int, pad_w=int)
 _POOL = dict(window_h=int, window_w=int, **_STRIDE_PAD)
 
-# name: Kind(attrs, arity, shape, cost, run[, params][, optional])
+# name: Kind(attrs, arity, shape, cost, run[, params][, optional][, into][, in_place])
+_INTO = dict(into=True)
+_IN_PLACE = dict(into=True, in_place=True)
 KINDS: dict[str, Kind] = {
     "input": Kind({"channels": int}, 0, _channels_shape, _per_element(0, 0), _input_run),
     "conv": Kind(dict(cin=int, cout=int, kh=int, kw=int, **_STRIDE_PAD), 1, _conv_shape,
                  _conv_cost, _conv_run, _conv_params, optional={"bias": bool}),
     "batchnorm": Kind({"channels": int}, 1, _channels_shape, _per_element(1, 1), _batchnorm_run,
-                      _batchnorm_params),
-    "relu": Kind({}, 1, _same_shape, _per_element(0, 1), _op("relu")),
-    "sigmoid": Kind({}, 1, _same_shape, _per_element(0, 1), _op("sigmoid")),
-    "maxpool": Kind(_POOL, 1, _pool_shape(True), _pool_cost, _pool_run("maxpool2d")),
+                      _batchnorm_params, **_IN_PLACE),
+    "relu": Kind({}, 1, _same_shape, _per_element(0, 1), _op("relu"), **_IN_PLACE),
+    "sigmoid": Kind({}, 1, _same_shape, _per_element(0, 1), _op("sigmoid"), **_IN_PLACE),
+    "maxpool": Kind(_POOL, 1, _pool_shape(True), _pool_cost, _pool_run("maxpool2d"), **_INTO),
     "avgpool": Kind(_POOL, 1, _pool_shape(False), _pool_cost, _pool_run("avgpool2d")),
     "adaptive_avgpool": Kind(
         {"out_h": int, "out_w": int}, 1, _adaptive_shape, _adaptive_cost,
-        lambda l, ins, p, mode: T.adaptive_avgpool2d(ins[0], l.attrs["out_h"], l.attrs["out_w"])),
+        lambda l, ins, p, mode, out: T.adaptive_avgpool2d(ins[0], l.attrs["out_h"],
+                                                          l.attrs["out_w"])),
     "interpolate": Kind({"method": str}, 1, _interpolate_shape, _interpolate_cost,
-                        _interpolate_run, optional={"factor": int, "match": str}),
+                        _interpolate_run, optional={"factor": int, "match": str}, **_INTO),
     "concat": Kind({}, None, _concat_shape, _per_element(0, 0),
-                   lambda l, ins, p, mode: T.concat_channels(ins)),
+                   lambda l, ins, p, mode, out: T.concat_channels(ins, out=out), **_INTO),
     "channel_sum": Kind({}, 1, lambda a, ins: (1, ins[0][1], ins[0][2]),
                         lambda a, ins, out: (0, out[1] * out[2] * (ins[0][0] - 1)),
-                        _op("channel_sum")),
-    "add": Kind({}, 2, _same_shape, _per_element(0, 1), _op("add")),
-    "sub": Kind({}, 2, _same_shape, _per_element(0, 1), _op("sub")),
-    "mul": Kind({}, 2, _same_shape, _per_element(1, 0), _op("mul")),
-    "div": Kind({}, 2, _same_shape, _per_element(1, 0), _op("div")),
+                        lambda l, ins, p, mode, out: T.channel_sum(ins[0])),
+    "add": Kind({}, 2, _same_shape, _per_element(0, 1), _op("add"), **_IN_PLACE),
+    "sub": Kind({}, 2, _same_shape, _per_element(0, 1), _op("sub"), **_IN_PLACE),
+    "mul": Kind({}, 2, _same_shape, _per_element(1, 0), _op("mul"), **_IN_PLACE),
+    "div": Kind({}, 2, _same_shape, _per_element(1, 0), _op("div"), **_IN_PLACE),
     "scalar_add": Kind({"value": float}, 1, _same_shape, _per_element(0, 1),
-                       lambda l, ins, p, mode: T.add(ins[0], float(l.attrs["value"]))),
+                       lambda l, ins, p, mode, out: T.add(ins[0], float(l.attrs["value"]), out=out),
+                       **_IN_PLACE),
 }
 
 
@@ -719,6 +728,68 @@ def infer_shapes(graph: GraphDescription, shape: tuple[int, int, int]) -> dict[s
 
 
 # -- execution ----------------------------------------------------------------
+
+
+class _BufferPlan:
+    """Where each layer of a forward that records nothing writes its output.
+
+    Made from the graph and ``infer_shapes`` before the layer loop:
+    - placement: a layer whose kind writes into a given buffer, and which a
+      concat reads once, writes straight into its channel slice of that
+      concat's output (the first such concat's). A placed concat's slice
+      holds its own inputs' slices, so nested concats share one buffer, and
+      a concat copies only the inputs not already in place.
+    - donation: an in-place kind writes over its first input when it is that
+      input's last reader, reads it once, and the input is neither the graph
+      input, a tap, placed, nor a concat holding placed inputs (their slices
+      of its buffer may still be read).
+    A concat's buffer is made when its first placed input runs and dropped
+    from the plan when the concat takes it. The plan holds no reference
+    cycle, which would keep its buffers until the cyclic GC ran.
+    """
+
+    def __init__(self, graph: GraphDescription, shapes: dict[str, tuple], n: int, dtype,
+                 last_reader: dict[str, int], keep: set[str]):
+        kind = {l.name: KINDS[l.kind] for l in graph.layers}
+        self.placed: dict[str, tuple[str, int]] = {}  # layer -> (concat, first channel)
+        for l in graph.layers:
+            if l.kind == "concat":
+                c = 0
+                for src in l.inputs:
+                    if kind[src].into and l.inputs.count(src) == 1:
+                        self.placed.setdefault(src, (l.name, c))
+                    c += shapes[src][0]
+        hosts = {concat for concat, _ in self.placed.values()}
+        self.donor: dict[str, str] = {}  # layer -> the input it writes over
+        for i, l in enumerate(graph.layers):
+            src = l.inputs[0] if l.inputs else None
+            if (kind[l.name].in_place and l.name not in self.placed and last_reader[src] == i
+                    and l.reads().count(src) == 1 and src not in self.placed
+                    and src not in hosts and src not in keep and kind[src].arity != 0):
+                self.donor[l.name] = src
+        self.shapes, self.n, self.dtype = shapes, n, dtype
+        self.buffers: dict[str, np.ndarray] = {}  # outputs made before their layer runs
+
+    def out(self, l: Layer, values: dict[str, T.Tensor]) -> np.ndarray | None:
+        """The buffer ``l`` writes into, or None for a fresh one."""
+        if l.name in self.donor:
+            return values[self.donor[l.name]].data
+        if l.kind != "concat" and l.name not in self.placed:
+            return None
+        buf = self._slot(l.name)
+        del self.buffers[l.name]  # from here its output tensor holds it
+        return buf
+
+    def _slot(self, name: str) -> np.ndarray:
+        """``name``'s output buffer, kept until it runs: its channel slice of
+        its concat's buffer when placed, else a new array."""
+        if name not in self.buffers:
+            if name in self.placed:
+                concat, c = self.placed[name]
+                self.buffers[name] = self._slot(concat)[:, c : c + self.shapes[name][0]]
+            else:
+                self.buffers[name] = np.empty((self.n,) + self.shapes[name], self.dtype)
+        return self.buffers[name]
 
 
 @dataclass
@@ -753,10 +824,15 @@ def forward(
     ``mode`` selects batch-norm behaviour (train updates running statistics
     in place). With ``requires_grad`` the parameters require grad, so every
     op that reads one records its backward and the result supports
-    ``backward``; without it no op records anything. An intermediate is kept
-    only when a tap names its layer. ``params`` must match the graph
-    (DataError otherwise), and ``x`` is cast to their dtype. A NumericError or
-    ShapeError raised by a layer is raised again, prefixed with its name.
+    ``backward``; without it no op records anything, and a ``_BufferPlan``
+    made before the layer loop writes concat inputs into their channel
+    slices and lets elementwise and batch-norm layers write over a dead
+    input, with the same values: a tap may then be a view into a larger
+    concat buffer, which it keeps alive. An intermediate is kept only when a
+    tap names its layer. ``params`` must match the graph (DataError
+    otherwise), and ``x`` is cast to their dtype and never written. A
+    NumericError or ShapeError raised by a layer is raised again, prefixed
+    with its name.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -772,12 +848,17 @@ def forward(
 
     keep = set(graph.taps.values())
     last_reader = {src: i for i, l in enumerate(graph.layers) for src in l.reads()}
+    plan = None
+    if not requires_grad:
+        # in a graph without parameters, the dtype the input layer's Tensor takes
+        plan = _BufferPlan(graph, infer_shapes(graph, x.shape[1:]), x.shape[0], T.Tensor(x).dtype,
+                           last_reader, keep)
     values: dict[str, T.Tensor] = {}
     taps: dict[str, T.Tensor] = {}
     for i, l in enumerate(graph.layers):
         ins = [values[s] for s in l.reads()] if l.inputs else [x]
         try:
-            out = KINDS[l.kind].run(l, ins, p, mode)
+            out = KINDS[l.kind].run(l, ins, p, mode, plan.out(l, values) if plan else None)
         except (NumericError, ShapeError) as e:
             raise type(e)(f"{l.name}: {e}") from e
         values[l.name] = out

@@ -13,20 +13,25 @@ Every forward op validates that its output is finite; NaN/Inf raises
 NumericError immediately instead of propagating silently.
 
 An op records its backward exactly when one of its operands requires grad.
-Each op has one forward, which runs whether or not it records. conv2d fills
-a fixed-size column buffer one band of output rows at a time and multiplies
-each band straight into its slice of the output (a 1x1 stride-1 conv reads
-each sample's padded input as its band's columns, with no copy). Its weight
-gradient refills the same bands, so no column matrix is held between the
-passes; its input gradient runs the same band loop as a forward conv of the
-stride-spread gradient with the flipped, channel-swapped kernel. Max
-pooling reduces shifted strided views of the padded input, and its backward
-pads the input again and adds into the same views. Conv and pooling share
-one window rule, ``window_out``, which shape inference in ``icc.model``
-uses too; conv and max pooling share one set of offset views. Average and
-adaptive average pooling and bilinear and nearest resizing are separable
-linear maps, Rh·x·Rwᵀ, with the adjoint Rhᵀ·g·Rw as backward; all but
-bilinear resizing take their weights from one box rule.
+Each op has one forward, which runs whether or not it records. relu,
+sigmoid, the arithmetic ops, batch norm, max pooling, resizing and channel
+concat take a numpy-style ``out=`` to write their output into; they refuse
+it when an operand requires grad, since a recorded backward reads its
+operands and output again. conv2d fills a fixed-size column buffer one band
+of output rows at a time and multiplies each band straight into its slice
+of the output (a 1x1 stride-1 conv reads each sample's padded input as its
+band's columns, with no copy). Its weight gradient refills the same bands,
+so no column matrix is held between the passes; its input gradient runs
+the same band loop as a forward conv of the stride-spread gradient with the
+flipped, channel-swapped kernel. Max pooling reduces, one axis at a time,
+strided views of the unpadded input, each clipped to the windows whose cell
+at that offset is in bounds, and its backward finds each window's first
+maximum and adds into the same views; no -inf-padded copy is made. Conv and
+pooling share one window rule, ``window_out``, which shape inference in
+``icc.model`` uses too. Average and adaptive average pooling and bilinear
+and nearest resizing are separable linear maps, Rh·x·Rwᵀ, with the adjoint
+Rhᵀ·g·Rw as backward; all but bilinear resizing take their weights from
+one box rule.
 """
 
 from __future__ import annotations
@@ -193,13 +198,32 @@ def _into(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ufunc(a, b, out=a if np.result_type(a, b) == a.dtype else None)
 
 
+def _target(op: str, out, operands, shape, dtype):
+    """``out``, checked to take ``op``'s output of ``shape`` and ``dtype``.
+
+    ``out`` may be an operand's own buffer, which a recorded backward would
+    read again, so it is refused when an operand requires grad.
+    """
+    if out is None:
+        return None
+    if any(t.requires_grad for t in operands):
+        raise ValueError(f"{op}: out= is refused when an operand requires grad")
+    if out.shape != tuple(shape) or out.dtype != dtype:
+        raise ValueError(f"{op}: out is {out.dtype} {out.shape}, not {np.dtype(dtype)} {tuple(shape)}")
+    return out
+
+
 # -- elementwise ------------------------------------------------------------
 
 
-def _binary(op: str, a, b, forward, grads) -> Tensor:
-    """``forward(a, b)`` on the operands' data. ``grads(g, a, b)`` returns each
-    operand's gradient at the broadcast shape; it is summed down to the operand's."""
+def _binary(op: str, a, b, forward, grads, out) -> Tensor:
+    """``forward(a, b)`` on the operands' data, into ``out`` when given.
+    ``grads(g, a, b)`` returns each operand's gradient at the broadcast shape;
+    it is summed down to the operand's."""
     a, b = _operands(a, b)
+    if out is not None:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        out = _target(op, out, (a, b), shape, np.result_type(a.data, b.data))
 
     def backward(g):
         ga, gb = grads(g, a.data, b.data)
@@ -208,24 +232,24 @@ def _binary(op: str, a, b, forward, grads) -> Tensor:
 
     # a non-finite result is _make's NumericError, not a numpy warning first
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = forward(a.data, b.data)
+        out = forward(a.data, b.data, out=out)
     return _make(out, (a, b), backward, op)
 
 
-def add(a, b) -> Tensor:
-    return _binary("add", a, b, np.add, lambda g, x, y: (g, g))
+def add(a, b, out=None) -> Tensor:
+    return _binary("add", a, b, np.add, lambda g, x, y: (g, g), out)
 
 
-def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, np.subtract, lambda g, x, y: (g, -g))
+def sub(a, b, out=None) -> Tensor:
+    return _binary("sub", a, b, np.subtract, lambda g, x, y: (g, -g), out)
 
 
-def mul(a, b) -> Tensor:
-    return _binary("mul", a, b, np.multiply, lambda g, x, y: (g * y, g * x))
+def mul(a, b, out=None) -> Tensor:
+    return _binary("mul", a, b, np.multiply, lambda g, x, y: (g * y, g * x), out)
 
 
-def div(a, b) -> Tensor:
-    return _binary("div", a, b, np.divide, lambda g, x, y: (g / y, -g * x / (y * y)))
+def div(a, b, out=None) -> Tensor:
+    return _binary("div", a, b, np.divide, lambda g, x, y: (g / y, -g * x / (y * y)), out)
 
 
 def tensor_sum(x: Tensor) -> Tensor:
@@ -238,9 +262,9 @@ def tensor_sum(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward, "sum")
 
 
-def relu(x: Tensor) -> Tensor:
+def relu(x: Tensor, out=None) -> Tensor:
     x = _coerce(x)
-    out_data = np.maximum(x.data, 0)
+    out_data = np.maximum(x.data, 0, out=_target("relu", out, (x,), x.shape, x.dtype))
 
     def backward(g):
         _accumulate(x, g * (x.data > 0))
@@ -248,9 +272,9 @@ def relu(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward, "relu")
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def sigmoid(x: Tensor, out=None) -> Tensor:
     x = _coerce(x)
-    out_data = expit(x.data).astype(x.data.dtype)
+    out_data = expit(x.data, out=_target("sigmoid", out, (x,), x.shape, x.dtype))
 
     def backward(g):
         _accumulate(x, g * out_data * (1.0 - out_data))
@@ -295,18 +319,18 @@ def _window(op: str, x: Tensor, window, stride, padding, max_pool: bool = False)
     return wh, ww, sh, sw, ph, pw, ho, wo
 
 
-def _padded(a: np.ndarray, ph: int, pw: int, fill: float = 0.0) -> np.ndarray:
-    """``a`` with ``ph`` rows and ``pw`` columns of ``fill`` around its trailing
+def _padded(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """``a`` with ``ph`` rows and ``pw`` columns of zeros around its trailing
     axes (``a`` itself when unpadded)."""
     if not (ph or pw):
         return a
-    return np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
+    return np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
 
 
 def _window_views(a: np.ndarray, wh, ww, sh, sw, ho, wo) -> list:
     """For each window offset in row-major order, the strided view of ``a``'s
-    two trailing axes that the ho x wo windows read at that offset: the conv
-    band fill and both max pooling passes."""
+    two trailing axes that the ho x wo windows read at that offset (the conv
+    band fill)."""
     return [
         a[..., i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw]
         for i in range(wh)
@@ -428,42 +452,66 @@ def separable_conv2d(x, kernel_v, kernel_h, stride=1, padding=(0, 0), bias=None)
 # -- pooling ----------------------------------------------------------------
 
 
-def _fold(views: list) -> np.ndarray:
-    """The elementwise maximum of ``views``, left to right, into one fresh array."""
-    if len(views) == 1:
-        return views[0].copy()
-    acc = np.maximum(views[0], views[1])
-    for v in views[2:]:
-        np.maximum(acc, v, out=acc)
-    return acc
+def _clipped(n_in: int, n_out: int, window: int, stride: int, pad: int) -> list:
+    """For each window offset along one axis padded by ``pad``: (outputs, inputs),
+    the slice of the outputs whose cell at that offset lies inside [0, n_in)
+    and the strided slice of those cells. The pad cells are left out."""
+    spans = []
+    for i in range(window):
+        lo = max(0, -((i - pad) // stride))
+        hi = max(lo, min(n_out, (n_in - 1 + pad - i) // stride + 1))
+        first = lo * stride + i - pad
+        spans.append((slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)))
+    return spans
 
 
-def maxpool2d(x, window, stride=None, padding=0) -> Tensor:
+def _max_along(a: np.ndarray, axis: int, window, stride, pad, n_out, out=None) -> np.ndarray:
+    """Max pooling of the 4-D ``a`` along ``axis`` alone, into ``out`` when given.
+
+    Each output folds its in-bounds cells in offset order, from -inf where
+    the first offset's cell is a pad cell: the values of a fold over a
+    -inf-padded copy, which is never made.
+    """
+    def at(sl):
+        return (slice(None),) * axis + (sl,)
+
+    if out is None:
+        out = np.empty(a.shape[:axis] + (n_out,) + a.shape[axis + 1 :], a.dtype)
+    (o, i), *rest = _clipped(a.shape[axis], n_out, window, stride, pad)
+    out[at(slice(0, o.start))] = -np.inf
+    out[at(slice(o.stop, None))] = -np.inf
+    out[at(o)] = a[at(i)]
+    for o, i in rest:
+        np.maximum(out[at(o)], a[at(i)], out=out[at(o)])
+    return out
+
+
+def maxpool2d(x, window, stride=None, padding=0, out=None) -> Tensor:
     x = _coerce(x)
     stride = window if stride is None else stride
     wh, ww, sh, sw, ph, pw, ho, wo = _window("maxpool2d", x, window, stride, padding, max_pool=True)
-    xp = _padded(x.data, ph, pw, -np.inf)
+    out = _target("maxpool2d", out, (x,), x.shape[:2] + (ho, wo), x.dtype)
     # Each window's maximum as a wh x 1 window's, then a 1 x ww window's.
-    rows = _fold(_window_views(xp, wh, 1, sh, 1, ho, xp.shape[3]))
-    out_data = _fold(_window_views(rows, 1, ww, 1, sw, ho, wo))
+    rows = _max_along(x.data, 2, wh, sh, ph, ho)
+    out_data = _max_along(rows, 3, ww, sw, pw, wo, out)
 
     def backward(g):
-        geometry = (wh, ww, sh, sw, ho, wo)
-        # Padded again: the forward pass's padded copy is not kept until here.
-        xp = _padded(x.data, ph, pw, -np.inf)
-        # The gradient goes to each window's first maximum in row-major order.
-        taken = np.zeros(out_data.shape, bool)
+        # The gradient goes to each window's first maximum in row-major offset
+        # order. A pad cell, -inf, never equals a finite maximum, so the
+        # offsets read the unpadded input through their clipped views.
         firsts = []
-        for view in _window_views(xp, *geometry):
-            first = (view == out_data) & ~taken
-            taken |= first
-            firsts.append(first)
+        taken = np.zeros(out_data.shape, bool)
+        for ro, ri in _clipped(x.shape[2], ho, wh, sh, ph):
+            for co, ci in _clipped(x.shape[3], wo, ww, sw, pw):
+                first = (x.data[..., ri, ci] == out_data[..., ro, co]) & ~taken[..., ro, co]
+                taken[..., ro, co] |= first
+                firsts.append((ro, ri, co, ci, first))
         # Offsets run last to first, so that an input shared by several
         # windows sums their gradients in the windows' row-major order.
-        gp = np.zeros(xp.shape, g.dtype)
-        for view, first in reversed(list(zip(_window_views(gp, *geometry), firsts))):
-            view += g * first
-        _accumulate(x, gp[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]])
+        gx = np.zeros(x.shape, g.dtype)
+        for ro, ri, co, ci, first in reversed(firsts):
+            gx[..., ri, ci] += g[..., ro, co] * first
+        _accumulate(x, gx)
 
     return _make(out_data, (x,), backward, "maxpool2d")
 
@@ -480,6 +528,7 @@ def batchnorm2d(
     mode: str = "train",
     eps: float = 1e-3,
     momentum: float = 0.1,
+    out=None,
 ) -> Tensor:
     """Per-channel batch normalization over NCHW.
 
@@ -497,6 +546,8 @@ def batchnorm2d(
         )
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm2d: mode must be 'train' or 'eval', got {mode!r}")
+    dtype = np.result_type(x.data, gamma.data, beta.data)
+    out = _target("batchnorm2d", out, (x, gamma, beta), x.shape, dtype)
 
     if mode == "train":
         axes = (0, 2, 3)
@@ -515,7 +566,8 @@ def batchnorm2d(
     m = m.reshape(1, c, 1, 1)
     inv = (1.0 / np.sqrt(v + eps)).reshape(1, c, 1, 1)
     scale = gamma.data.reshape(1, c, 1, 1)
-    out_data = x.data - m
+    # ``out`` may be x's own buffer: the statistics are taken by now
+    out_data = np.subtract(x.data, m, out=out)
     out_data *= inv
     out_data = _into(np.multiply, out_data, scale)
     out_data = _into(np.add, out_data, beta.data.reshape(1, c, 1, 1))
@@ -570,20 +622,32 @@ def _bilinear_axis(n_in: int, n_out: int, dtype) -> np.ndarray:
     return r
 
 
-def _separable(rh: np.ndarray, rw: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """rh·a·rwᵀ over the two trailing axes of a 4-D array: along H, then W."""
+def _separable(rh: np.ndarray, rw: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
+    """rh·a·rwᵀ over the two trailing axes of a 4-D array: along H, then W,
+    written into ``out`` when given."""
     along_h = np.matmul(rh, a)
     n, c, oh, w = along_h.shape
-    return np.matmul(along_h.reshape(n * c * oh, w), rw.T).reshape(n, c, oh, rw.shape[0])
+    # One GEMM for every sample, straight into a contiguous ``out`` (as a
+    # channel slice of a one-sample buffer is); GEMMs split by sample may
+    # round differently.
+    into = out.reshape(n * c * oh, -1) if out is not None and out.flags.c_contiguous else None
+    res = np.matmul(along_h.reshape(n * c * oh, w), rw.T, out=into).reshape(n, c, oh, -1)
+    if out is None:
+        return res
+    if into is None:
+        out[...] = res
+    return out
 
 
-def _resample(x: Tensor, rh: np.ndarray, rw: np.ndarray, op: str) -> Tensor:
+def _resample(x: Tensor, rh: np.ndarray, rw: np.ndarray, op: str, out=None) -> Tensor:
+    out = _target(op, out, (x,), x.shape[:2] + (rh.shape[0], rw.shape[0]), x.dtype)
+
     def backward(g):
         _accumulate(x, _separable(rh.T, rw.T, g))
 
     # A non-finite input meets zero weights (inf·0); _make reports it.
     with np.errstate(invalid="ignore", over="ignore"):
-        out_data = _separable(rh, rw, x.data)
+        out_data = _separable(rh, rw, x.data, out)
     return _make(out_data, (x,), backward, op)
 
 
@@ -617,7 +681,7 @@ def adaptive_avgpool2d(x, out_h: int, out_w: int) -> Tensor:
     return _resample(x, *axes, "adaptive_avgpool2d")
 
 
-def interpolate(x, out_h: int, out_w: int, method: str = "bilinear") -> Tensor:
+def interpolate(x, out_h: int, out_w: int, method: str = "bilinear", out=None) -> Tensor:
     """Resize the two trailing spatial axes to (out_h, out_w)."""
     x = _coerce(x)
     if x.ndim != 4:
@@ -633,10 +697,10 @@ def interpolate(x, out_h: int, out_w: int, method: str = "bilinear") -> Tensor:
         else:
             lo = np.arange(n_out) * n_in // n_out
             axes.append(_box_axis(n_in, lo, lo + 1, 1, x.dtype))
-    return _resample(x, *axes, "interpolate")
+    return _resample(x, *axes, "interpolate", out)
 
 
-def upsample(x, factor: int, method: str = "bilinear") -> Tensor:
+def upsample(x, factor: int, method: str = "bilinear", out=None) -> Tensor:
     """Scale both spatial extents by a positive integer factor."""
     x = _coerce(x)
     if int(factor) != factor or factor < 1:
@@ -644,13 +708,15 @@ def upsample(x, factor: int, method: str = "bilinear") -> Tensor:
     factor = int(factor)
     if x.ndim != 4:
         raise ShapeError(f"upsample: input must be 4-D NCHW, got {x.ndim}-D")
-    return interpolate(x, x.shape[2] * factor, x.shape[3] * factor, method=method)
+    return interpolate(x, x.shape[2] * factor, x.shape[3] * factor, method=method, out=out)
 
 
 # -- channel plumbing --------------------------------------------------------
 
 
-def concat_channels(inputs) -> Tensor:
+def concat_channels(inputs, out=None) -> Tensor:
+    """Channel concatenation, into ``out`` when given. An input whose data is
+    already its channel slice of ``out`` is not copied."""
     inputs = [_coerce(t) for t in inputs]
     if not inputs:
         raise ShapeError("concat_channels: need at least one input")
@@ -664,8 +730,15 @@ def concat_channels(inputs) -> Tensor:
                     f"concat_channels: input {k} extent {t.shape[dim]} != "
                     f"{first.shape[dim]} along dim {dim}"
                 )
-    out_data = np.concatenate([t.data for t in inputs], axis=1)
+    shape = (first.shape[0], sum(t.shape[1] for t in inputs)) + first.shape[2:]
+    dtype = np.result_type(*(t.data for t in inputs))
+    out_data = _target("concat_channels", out, inputs, shape, dtype)
+    if out_data is None:
+        out_data = np.empty(shape, dtype)
     splits = np.cumsum([t.shape[1] for t in inputs])[:-1]
+    for t, part in zip(inputs, np.split(out_data, splits, axis=1)):
+        if part.__array_interface__ != t.data.__array_interface__:
+            part[...] = t.data
 
     def backward(g):
         for t, gpart in zip(inputs, np.split(g, splits, axis=1)):

@@ -17,6 +17,13 @@ the BLAS may block a narrower GEMM differently, so these comparisons use the
 float32 and float64 tolerances fixed for inference (1e-5 and 1e-12 of the
 largest magnitude).
 
+A model forward that records nothing plans its buffers: a layer that a
+concat reads once writes into its channel slice of the concat's output, and
+an elementwise or batch-norm layer writes over a dead input. Its output and
+taps are held to the recorded forward bit for bit, and its taps Feature1 and
+Feature2 to views of one buffer. An op's ``out=`` is refused when an operand
+requires grad.
+
 A recorded pooling op holds its output and no padded copy of its input
 between the passes. Pooling and batch norm are held to an independent reference: the loop
 pooling of conftest, bit for bit for max pooling and within 1e-6 of the
@@ -24,6 +31,7 @@ input's largest magnitude for average pooling, whose float32 sums round; and
 the batch-norm formula written out in numpy, bit for bit.
 """
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -190,8 +198,9 @@ class TestPooling:
 
     @pytest.mark.parametrize("op", [T.maxpool2d, T.avgpool2d])
     def test_recorded_pooling_holds_only_its_output(self, op):
-        # Both backwards pad again rather than keep the padded input, so
-        # between the passes the op holds its output and no padded copy.
+        # Max pooling's backward reads the unpadded input through clipped
+        # views and average pooling's is a matmul by the adjoint, so between
+        # the passes the op holds its output and no padded copy.
         x = T.Tensor(np.random.default_rng(8).standard_normal((4, 16, 64, 64)).astype(np.float32),
                      requires_grad=True)
         tracemalloc.start()
@@ -321,3 +330,168 @@ class TestForward:
         grads = run.backward(np.ones(run.output.shape))
         assert grads.keys() == run.param_tensors.keys()
         assert any(np.any(g != 0) for g in grads.values())
+
+
+HAND_GRAPH = """ICCGRAPH 1
+ablation none
+tap output top
+tap gate s
+tap placed ga
+layer input kind=input channels=3
+layer a.conv kind=conv inputs=input cin=3 cout=4 kh=3 kw=3 stride_h=1 stride_w=1 pad_h=1 pad_w=1
+layer a.bn kind=batchnorm inputs=a.conv channels=4
+layer a.relu kind=relu inputs=a.bn
+layer p kind=maxpool inputs=a.relu window_h=3 window_w=3 stride_h=1 stride_w=1 pad_h=1 pad_w=1
+layer s kind=sigmoid inputs=p
+layer c1 kind=concat inputs=p,a.relu,input
+layer c2 kind=concat inputs=s,p,s
+layer q kind=adaptive_avgpool inputs=c2 out_h=2 out_w=3
+layer up kind=interpolate inputs=q match=input method=bilinear
+layer e kind=scalar_add inputs=c2 value=0.5
+layer f0 kind=div inputs=e,up
+layer f kind=relu inputs=f0
+layer ga kind=sigmoid inputs=input
+layer gb kind=sigmoid inputs=input
+layer gc kind=concat inputs=ga,gb
+layer gd kind=scalar_add inputs=gc value=1
+layer gs kind=channel_sum inputs=gd
+layer ge kind=add inputs=ga,gb
+layer z kind=scalar_add inputs=input value=-0.25
+layer z2 kind=mul inputs=input,z
+layer z3 kind=relu inputs=z2
+layer top kind=concat inputs=c1,up,f,z3,gs,ge
+"""
+
+
+class TestBufferPlan:
+    """The no-grad forward's buffer plan against the recorded forward."""
+
+    @staticmethod
+    def both(graph, params, x):
+        fast = M.forward(graph, params, x)
+        slow = M.forward(graph, params, x, requires_grad=True)
+        assert slow.output._backward is not None
+        assert fast.taps.keys() == slow.taps.keys() == graph.taps.keys()
+        for tap in graph.taps:
+            assert_unrecorded(fast.taps[tap])
+            np.testing.assert_array_equal(fast.taps[tap].data, slow.taps[tap].data, err_msg=tap)
+        return fast, slow
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("ablation", [{}, {"use_contextual_module": False},
+                                          {"use_inception_blocks": False}],
+                             ids=["full", "no-context", "no-inception"])
+    @pytest.mark.parametrize("width", [0.25, 1.0])
+    def test_no_grad_forward_is_bit_identical(self, width, ablation, dtype):
+        graph = M.build_icc(M.ModelConfig(width_scale=width, **ablation))
+        params = M.init_parameters(graph, 1, dtype)
+        x = np.random.default_rng(2).uniform(0, 1, (2, 3, 64, 96)).astype(dtype)
+        self.both(graph, params, x)
+
+    def test_every_layer_tapped_is_bit_identical(self):
+        # taps take no donation, and each placed tap is a view of its concat
+        graph = M.build_icc(M.ModelConfig(width_scale=0.25))
+        graph.taps.update({l.name: l.name for l in graph.layers})
+        x = np.random.default_rng(3).uniform(0, 1, (1, 3, 96, 64))
+        self.both(graph, M.init_parameters(graph, 4, np.float64), x)
+
+    def test_caller_arrays_are_not_written(self):
+        graph = M.build_icc(M.ModelConfig(width_scale=0.25))
+        params = M.init_parameters(graph, 5, np.float32)
+        x = np.random.default_rng(6).uniform(0, 1, (2, 3, 64, 96)).astype(np.float32)
+        before = x.copy(), {k: v.copy() for k, v in params.items()}
+        M.forward(graph, params, x)
+        np.testing.assert_array_equal(x, before[0])
+        for name, value in params.items():
+            np.testing.assert_array_equal(value, before[1][name], err_msg=name)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_hand_written_graph(self, dtype):
+        # p feeds two concats, c2 reads s twice, concat c1 lands inside top,
+        # the input is read by a concat and, last, as z2's first operand, and
+        # gd, the last reader of gc, must not write over ga and gb in gc's
+        # buffer: ge and the tap read them afterwards
+        graph = M.GraphDescription.from_text(HAND_GRAPH)
+        params = M.init_parameters(graph, 7, dtype)
+        x = np.random.default_rng(8).standard_normal((2, 3, 10, 14)).astype(dtype)
+        before = x.copy()
+        fast, _ = self.both(graph, params, x)
+        np.testing.assert_array_equal(x, before)
+        assert fast.output.shape == (2, 42, 10, 14)
+        last_reader = {src: i for i, l in enumerate(graph.layers) for src in l.reads()}
+        plan = M._BufferPlan(graph, M.infer_shapes(graph, x.shape[1:]), 2, dtype,
+                             last_reader, set(graph.taps.values()))
+        assert plan.placed == {"p": ("c1", 0), "a.relu": ("c1", 4), "c1": ("top", 0),
+                               "up": ("top", 11), "f": ("top", 23), "z3": ("top", 35),
+                               "ga": ("gc", 0), "gb": ("gc", 3), "ge": ("top", 39)}
+        assert plan.donor == {"a.bn": "a.conv", "e": "c2", "f0": "e"}
+
+    def test_concat_taps_share_the_fusion_buffer(self):
+        graph = M.build_icc(M.ModelConfig(width_scale=0.25))
+        params = M.init_parameters(graph, 9)
+        x = np.random.default_rng(10).uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
+        fast = M.forward(graph, params, x)
+        f1, f2 = fast.taps["Feature1"].data, fast.taps["Feature2"].data
+        assert f1.base is not None and f1.base is f2.base
+        slow = M.forward(graph, params, x, requires_grad=True)
+        assert not np.shares_memory(slow.taps["Feature1"].data, slow.taps["Feature2"].data)
+
+    def test_no_grad_forward_leaves_no_cycles(self):
+        # a reference cycle would hold the forward's buffers until the cyclic GC ran
+        graph = M.build_icc(M.ModelConfig(width_scale=0.25))
+        params = M.init_parameters(graph, 11)
+        x = np.random.default_rng(12).uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
+        gc.collect()
+        gc.disable()
+        try:
+            M.forward(graph, params, x)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def _operands(rng, dtype):
+    x = rng.standard_normal((2, 3, 6, 5)).astype(dtype)
+    return x, rng.standard_normal(x.shape).astype(dtype)
+
+
+OUT_OPS = {
+    "relu": (lambda x, y, out: T.relu(x, out=out), (2, 3, 6, 5)),
+    "sigmoid": (lambda x, y, out: T.sigmoid(x, out=out), (2, 3, 6, 5)),
+    "add": (lambda x, y, out: T.add(x, y, out=out), (2, 3, 6, 5)),
+    "sub": (lambda x, y, out: T.sub(x, y, out=out), (2, 3, 6, 5)),
+    "mul": (lambda x, y, out: T.mul(x, y, out=out), (2, 3, 6, 5)),
+    "div": (lambda x, y, out: T.div(x, y, out=out), (2, 3, 6, 5)),
+    "batchnorm2d": (lambda x, y, out: T.batchnorm2d(
+        x, y.data[0, :, 0, 0], y.data[0, :, 1, 0], np.zeros(3, x.dtype), np.ones(3, x.dtype),
+        mode="eval", out=out), (2, 3, 6, 5)),
+    "maxpool2d": (lambda x, y, out: T.maxpool2d(x, 3, 2, 1, out=out), (2, 3, 3, 3)),
+    "interpolate": (lambda x, y, out: T.interpolate(x, 7, 4, out=out), (2, 3, 7, 4)),
+    "upsample": (lambda x, y, out: T.upsample(x, 2, out=out), (2, 3, 12, 10)),
+    "concat_channels": (lambda x, y, out: T.concat_channels([x, y], out=out), (2, 6, 6, 5)),
+}
+
+
+class TestOut:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("op", sorted(OUT_OPS))
+    def test_out_holds_the_fresh_output(self, op, dtype):
+        fn, shape = OUT_OPS[op]
+        x, y = _operands(np.random.default_rng(13), dtype)
+        fresh = fn(T.Tensor(x), T.Tensor(y), None)
+        # a channel slice of a larger buffer, as the buffer plan gives
+        buf = np.full((shape[0], shape[1] + 3) + shape[2:], np.nan, dtype)
+        out = buf[:, 2 : 2 + shape[1]]
+        into = fn(T.Tensor(x), T.Tensor(y), out)
+        assert into.data is out and fresh.shape == shape
+        np.testing.assert_array_equal(into.data, fresh.data)
+
+    @pytest.mark.parametrize("op", sorted(OUT_OPS))
+    def test_out_refused_when_an_operand_requires_grad(self, op):
+        fn, shape = OUT_OPS[op]
+        x, y = _operands(np.random.default_rng(14), np.float32)
+        out = np.empty(shape, np.float32)
+        with pytest.raises(ValueError, match="requires grad"):
+            fn(T.Tensor(x, requires_grad=True), T.Tensor(y), out)
+        with pytest.raises(ValueError, match="not float32"):
+            fn(T.Tensor(x), T.Tensor(y), out[:, :1])
