@@ -9,8 +9,18 @@ concat/sum and elementwise arithmetic, each a function (a Tensor has no
 arithmetic operators). An op's output has its tensor operands' dtype; a
 number given to the arithmetic ops takes the dtype of the Tensor beside it.
 
-Every forward op validates that its output is finite; NaN/Inf raises
-NumericError immediately instead of propagating silently.
+Every forward op's output is finite, or NumericError names the op at once
+instead of a NaN or Inf propagating silently. A Tensor records whether its
+data was verified: ``_make`` sets this after it scans an op's output or
+after the op's proof, and a Tensor the caller builds is never verified.
+relu, sigmoid, max pooling and channel concat cannot make a non-finite value
+from finite operands (every max-pooling window holds an in-bounds cell), so
+they scan nothing when every operand is verified; an unverified operand's
+output is scanned. Batch norm's four affine passes and its scan, both axis
+passes of max pooling, and conv2d's bias add and scan run block by block
+over about ``_BLOCK_BYTES`` of the map (``_blocks``: whole samples when one
+fits, else channel groups of one sample; conv2d takes spans of its completed
+bands), so that each pass finds its block still in cache.
 
 An op records its backward exactly when one of its operands requires grad.
 Each op has one forward, which runs whether or not it records. relu,
@@ -44,6 +54,9 @@ from .errors import NumericError, ShapeError
 _DEFAULT_DTYPE = np.float32
 # Byte size of the conv2d column buffer; it holds one band of output rows.
 _COL_BUFFER_BYTES = 8 << 20
+# Byte size of a block that per-element passes run over while it stays in
+# the L2 cache (see ``_blocks``).
+_BLOCK_BYTES = 1 << 20
 
 
 def set_default_dtype(dtype) -> None:
@@ -61,7 +74,10 @@ def default_dtype():
 
 def _check_finite(data: np.ndarray, op: str) -> None:
     # A finite sum rules out NaN and Inf in one pass with no temporary; a
-    # non-finite one may be an overflow of finite values, so scan then.
+    # non-finite one may be an overflow of finite values, so scan then. Ops
+    # call it on a whole output, on each block of one (batch norm) or on
+    # each span of completed conv bands, and not at all where verified
+    # operands prove the output finite.
     with np.errstate(over="ignore", invalid="ignore"):
         total = data.sum()
     if not np.isfinite(total) and not np.all(np.isfinite(data)):
@@ -76,8 +92,21 @@ def _as_pair(v, name: str) -> tuple[int, int]:
     return int(v), int(v)
 
 
+def _blocks(shape: tuple[int, ...], itemsize: int) -> list[tuple[slice, slice]]:
+    """(samples, channels) slices that split an NCHW array of ``shape`` into
+    blocks of at most ``_BLOCK_BYTES``, or one channel: whole samples when a
+    sample fits in a block, else channel groups of one sample."""
+    n, c, h, w = shape
+    channel = h * w * itemsize
+    if c * channel <= _BLOCK_BYTES:
+        k = _BLOCK_BYTES // max(1, c * channel)
+        return [(slice(s, s + k), slice(None)) for s in range(0, n, k)]
+    k = max(1, _BLOCK_BYTES // channel)
+    return [(slice(s, s + 1), slice(g, g + k)) for s in range(n) for g in range(0, c, k)]
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_verified")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -88,6 +117,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._verified = False  # data known finite; only _make sets it
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -157,9 +187,13 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _make(data: np.ndarray, parents: tuple, backward, op: str) -> Tensor:
-    _check_finite(data, op)
+def _make(data: np.ndarray, parents: tuple, backward, op: str, checked: bool = False) -> Tensor:
+    """``op``'s output Tensor, verified: scanned here unless ``checked``, which
+    says the op scanned ``data`` itself or its verified operands prove it finite."""
+    if not checked:
+        _check_finite(data, op)
     out = Tensor(data)
+    out._verified = True
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -269,7 +303,7 @@ def relu(x: Tensor, out=None) -> Tensor:
     def backward(g):
         _accumulate(x, g * (x.data > 0))
 
-    return _make(out_data, (x,), backward, "relu")
+    return _make(out_data, (x,), backward, "relu", checked=x._verified)
 
 
 def sigmoid(x: Tensor, out=None) -> Tensor:
@@ -279,7 +313,7 @@ def sigmoid(x: Tensor, out=None) -> Tensor:
     def backward(g):
         _accumulate(x, g * out_data * (1.0 - out_data))
 
-    return _make(out_data, (x,), backward, "sigmoid")
+    return _make(out_data, (x,), backward, "sigmoid", checked=x._verified)
 
 
 # -- window geometry --------------------------------------------------------
@@ -368,15 +402,42 @@ def _conv_bands(xp: np.ndarray, kh, kw, sh, sw, ho, wo):
             yield s, r0, r, cols.reshape(k, r * wo)
 
 
-def _correlate(xp: np.ndarray, wmat: np.ndarray, kh, kw, sh, sw, ho, wo) -> np.ndarray:
+def _spans(a: np.ndarray, start: int, stop: int) -> list:
+    """Views of the [N, C, P] ``a`` that hold, in every channel, the flat
+    positions [start, stop) of its (sample, position) order."""
+    p = a.shape[2]
+    (s0, p0), (s1, p1) = divmod(start, p), divmod(stop, p)
+    if s0 == s1:
+        return [a[s0, :, p0:p1]]
+    head = [a[s0, :, p0:]] if p0 else []
+    whole = [a[s0 + bool(p0) : s1]] if s1 > s0 + bool(p0) else []
+    return head + whole + ([a[s1, :, :p1]] if p1 else [])
+
+
+def _correlate(xp: np.ndarray, wmat: np.ndarray, kh, kw, sh, sw, ho, wo,
+               bias=None, op=None) -> np.ndarray:
     """[N, Cout, ho*wo]: the [Cout, C*kh*kw] ``wmat`` times each band's columns
-    of the padded input ``xp``, written straight into its slice of the output."""
-    n = xp.shape[0]
-    out = np.empty((n, wmat.shape[0], ho * wo), np.result_type(xp, wmat))
-    # a non-finite weight times a zero pad is NaN; _make's check reports it
+    of the padded input ``xp``, written straight into its slice of the output.
+
+    With ``op``, the completed bands get ``bias`` (which must not widen the
+    output's dtype) added and are scanned for ``op`` in spans of at least
+    ``_BLOCK_BYTES``, or all at once at the end of an output under a block.
+    """
+    n, p = xp.shape[0], ho * wo
+    out = np.empty((n, wmat.shape[0], p), np.result_type(xp, wmat))
+    span = _BLOCK_BYTES // max(1, out.shape[1] * out.itemsize)  # flat positions
+    done = 0
+    # a non-finite weight times a zero pad is NaN; the scan reports it
     with np.errstate(invalid="ignore", over="ignore"):
         for s, r0, r, cols in _conv_bands(xp, kh, kw, sh, sw, ho, wo):
             np.matmul(wmat, cols, out=out[s, :, r0 * wo : (r0 + r) * wo])
+            end = s * p + (r0 + r) * wo
+            if op is not None and (end - done >= span or end == n * p):
+                for part in _spans(out, done, end):
+                    if bias is not None:
+                        part += bias.reshape(-1, 1)
+                    _check_finite(part, op)
+                done = end
     return out
 
 
@@ -403,10 +464,16 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
 
     parents = (x, weight) if b is None else (x, weight, b)
     geometry = (kh, kw, sh, sw, ho, wo)
-    out = _correlate(_padded(x.data, ph, pw), weight.data.reshape(cout, -1), *geometry)
+    xp, wmat = _padded(x.data, ph, pw), weight.data.reshape(cout, -1)
+    # The bands take the bias and the scan, unless the bias would widen the
+    # output's dtype: then it is added to the whole output and _make scans.
+    dtype = np.result_type(xp, wmat)
+    widens = b is not None and np.result_type(dtype, b.data) != dtype
+    out = _correlate(xp, wmat, *geometry, bias=None if b is None or widens else b.data,
+                     op=None if widens else "conv2d")
     out_data = out.reshape(n, cout, ho, wo)
-    if b is not None:
-        out_data = _into(np.add, out_data, b.data.reshape(1, cout, 1, 1))
+    if widens:
+        out_data = np.add(out_data, b.data.reshape(1, cout, 1, 1))
 
     def backward(g):
         if b is not None and b.requires_grad:
@@ -429,7 +496,7 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
                             kh, kw, 1, 1, h, w)
             _accumulate(x, gx.reshape(n, cin, h, w))
 
-    return _make(out_data, parents, backward, "conv2d")
+    return _make(out_data, parents, backward, "conv2d", checked=not widens)
 
 
 def separable_conv2d(x, kernel_v, kernel_h, stride=1, padding=(0, 0), bias=None) -> Tensor:
@@ -490,10 +557,14 @@ def maxpool2d(x, window, stride=None, padding=0, out=None) -> Tensor:
     x = _coerce(x)
     stride = window if stride is None else stride
     wh, ww, sh, sw, ph, pw, ho, wo = _window("maxpool2d", x, window, stride, padding, max_pool=True)
-    out = _target("maxpool2d", out, (x,), x.shape[:2] + (ho, wo), x.dtype)
-    # Each window's maximum as a wh x 1 window's, then a 1 x ww window's.
-    rows = _max_along(x.data, 2, wh, sh, ph, ho)
-    out_data = _max_along(rows, 3, ww, sw, pw, wo, out)
+    out_data = _target("maxpool2d", out, (x,), x.shape[:2] + (ho, wo), x.dtype)
+    if out_data is None:
+        out_data = np.empty(x.shape[:2] + (ho, wo), x.dtype)
+    # Each window's maximum as a wh x 1 window's, then a 1 x ww window's,
+    # block by block so that the row maxima stay in cache.
+    for idx in _blocks(x.shape, x.data.itemsize):
+        rows = _max_along(x.data[idx], 2, wh, sh, ph, ho)
+        _max_along(rows, 3, ww, sw, pw, wo, out_data[idx])
 
     def backward(g):
         # The gradient goes to each window's first maximum in row-major offset
@@ -513,7 +584,7 @@ def maxpool2d(x, window, stride=None, padding=0, out=None) -> Tensor:
             gx[..., ri, ci] += g[..., ro, co] * first
         _accumulate(x, gx)
 
-    return _make(out_data, (x,), backward, "maxpool2d")
+    return _make(out_data, (x,), backward, "maxpool2d", checked=x._verified)
 
 
 # -- batch normalization ----------------------------------------------------
@@ -549,28 +620,40 @@ def batchnorm2d(
     dtype = np.result_type(x.data, gamma.data, beta.data)
     out = _target("batchnorm2d", out, (x, gamma, beta), x.shape, dtype)
 
-    if mode == "train":
-        axes = (0, 2, 3)
-        m = x.data.mean(axis=axes)
-        v = x.data.var(axis=axes)
-        count = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-        unbiased = v * count / (count - 1) if count > 1 else v
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * m
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
-    else:
-        m = running_mean.astype(x.dtype)
-        v = running_var.astype(x.dtype)
+    # a non-finite input is the scan's NumericError, not a numpy warning first
+    with np.errstate(invalid="ignore", over="ignore"):
+        if mode == "train":
+            axes = (0, 2, 3)
+            m = x.data.mean(axis=axes)
+            v = x.data.var(axis=axes)
+            count = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+            unbiased = v * count / (count - 1) if count > 1 else v
+            running_mean *= 1.0 - momentum
+            running_mean += momentum * m
+            running_var *= 1.0 - momentum
+            running_var += momentum * unbiased
+        else:
+            m = running_mean.astype(x.dtype)
+            v = running_var.astype(x.dtype)
 
-    m = m.reshape(1, c, 1, 1)
-    inv = (1.0 / np.sqrt(v + eps)).reshape(1, c, 1, 1)
-    scale = gamma.data.reshape(1, c, 1, 1)
-    # ``out`` may be x's own buffer: the statistics are taken by now
-    out_data = np.subtract(x.data, m, out=out)
-    out_data *= inv
-    out_data = _into(np.multiply, out_data, scale)
-    out_data = _into(np.add, out_data, beta.data.reshape(1, c, 1, 1))
+        m = m.reshape(1, c, 1, 1)
+        inv = (1.0 / np.sqrt(v + eps)).reshape(1, c, 1, 1)
+        scale, shift = gamma.data.reshape(1, c, 1, 1), beta.data.reshape(1, c, 1, 1)
+        out_data = np.empty(x.shape, dtype) if out is None else out
+        # Block by block, so that each pass and the scan find the block in cache.
+        # ``out`` may be x's own buffer: the statistics are taken by now. An
+        # affine op that widens the dtype makes the block anew, as on a whole map.
+        for samples, chans in _blocks(x.shape, x.data.itemsize):
+            block = out_data[samples, chans]
+            per_channel = (slice(None), chans)
+            t = np.subtract(x.data[samples, chans], m[per_channel],
+                            out=block if block.dtype == x.dtype else None)
+            t *= inv[per_channel]
+            t = _into(np.multiply, t, scale[per_channel])
+            t = _into(np.add, t, shift[per_channel])
+            if t is not block:
+                block[...] = t
+            _check_finite(block, "batchnorm2d")
 
     def backward(g):
         # the normalized input is recomputed here rather than kept
@@ -590,7 +673,7 @@ def batchnorm2d(
         mean_gx = (gscaled * xhat).mean(axis=(0, 2, 3), keepdims=True)
         _accumulate(x, inv * (gscaled - mean_g - xhat * mean_gx))
 
-    return _make(out_data, (x, gamma, beta), backward, "batchnorm2d")
+    return _make(out_data, (x, gamma, beta), backward, "batchnorm2d", checked=True)
 
 
 # -- resampling -------------------------------------------------------------
@@ -744,7 +827,8 @@ def concat_channels(inputs, out=None) -> Tensor:
         for t, gpart in zip(inputs, np.split(g, splits, axis=1)):
             _accumulate(t, gpart)
 
-    return _make(out_data, tuple(inputs), backward, "concat_channels")
+    return _make(out_data, tuple(inputs), backward, "concat_channels",
+                 checked=all(t._verified for t in inputs))
 
 
 def channel_sum(x) -> Tensor:

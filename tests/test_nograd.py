@@ -24,6 +24,16 @@ taps are held to the recorded forward bit for bit, and its taps Feature1 and
 Feature2 to views of one buffer. An op's ``out=`` is refused when an operand
 requires grad.
 
+An op's output is checked for NaN and Inf unless its operands prove it
+finite: relu, sigmoid, max pooling and channel concat skip the check when
+every operand was made by an op (is verified), which is counted through the
+calls to ``_check_finite``, and raise on a caller-built operand exactly as
+a check of their output does. Batch norm, max pooling and conv2d's bias and
+check run over cache-sized blocks; with ``_BLOCK_BYTES`` monkeypatched so
+that blocks split channels, hold one sample or span several, and conv bands
+of a few rows, their outputs are held bit for bit to the whole-map
+formulas, and a value planted in the last block still raises.
+
 A recorded pooling op holds its output and no padded copy of its input
 between the passes. Pooling and batch norm are held to an independent reference: the loop
 pooling of conftest, bit for bit for max pooling and within 1e-6 of the
@@ -33,6 +43,7 @@ the batch-norm formula written out in numpy, bit for bit.
 
 import gc
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +273,15 @@ class TestBatchNorm:
         np.testing.assert_array_equal(slow.data, ref)
 
 
+@pytest.fixture
+def scanned(monkeypatch):
+    """The op names ``_check_finite`` is called with, in order."""
+    ops = []
+    check = T._check_finite
+    monkeypatch.setattr(T, "_check_finite", lambda data, op: (ops.append(op), check(data, op)))
+    return ops
+
+
 class TestFiniteCheck:
     def test_overflowing_sum_of_finite_values_passes(self):
         big = np.array([3e38, 3e38], dtype=np.float32)
@@ -307,6 +327,176 @@ class TestFiniteCheck:
         x.reshape(-1)[position] = value
         with pytest.raises(NumericError, match=f"^{self.RAISED_AS.get(op, op)}: "):
             self.OPS[op](T.Tensor(x, requires_grad=grad), grad)
+
+
+    # Each op on a caller-built Tensor holding one non-finite value raises
+    # exactly where it did when every op scanned its output: relu of -inf,
+    # sigmoid of either infinity and a 2x2 max pool of -inf are finite.
+    VERIFIED_OPS = {
+        "relu": (lambda x: T.relu(x), {"nan", "+inf"}),
+        "sigmoid": (lambda x: T.sigmoid(x), {"nan"}),
+        "maxpool2d": (lambda x: T.maxpool2d(x, 2), {"nan", "+inf"}),
+        "concat_channels": (lambda x: T.concat_channels([T.relu(T.Tensor(np.ones((2, 1, 4, 6), np.float32))), x]),
+                            {"nan", "+inf", "-inf"}),
+    }
+
+    @pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])
+    @pytest.mark.parametrize("value", ["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("op", sorted(VERIFIED_OPS))
+    def test_unverified_operand_is_scanned(self, op, value, grad):
+        fn, raising = self.VERIFIED_OPS[op]
+        x = np.random.default_rng(3).standard_normal((2, 3, 4, 6)).astype(np.float32)
+        x[1, 2, 3, 5] = float(value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if value in raising:
+                with pytest.raises(NumericError, match=f"^{op}: non-finite values in output$"):
+                    fn(T.Tensor(x, requires_grad=grad))
+            else:
+                assert np.isfinite(fn(T.Tensor(x, requires_grad=grad)).data).all()
+
+    def test_verified_operands_skip_the_scan(self, scanned):
+        rng = np.random.default_rng(4)
+        x = T.Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        w = T.Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
+        assert not x._verified
+        y = T.conv2d(x, w, padding=1)
+        assert scanned == ["conv2d"] and y._verified
+        chain = T.concat_channels([T.maxpool2d(T.relu(y), 2), T.sigmoid(T.maxpool2d(y, 2))])
+        assert scanned == ["conv2d"] and chain._verified
+        # a caller-built operand anywhere brings the scan back
+        T.concat_channels([chain, T.Tensor(chain.data)])
+        T.relu(T.Tensor(y.data))
+        assert scanned == ["conv2d", "concat_channels", "relu"]
+
+    def test_overflowing_sum_passes_the_verified_ops(self):
+        big = T.Tensor(np.full((1, 1, 1, 2), 3e38, np.float32))
+        for out in (T.relu(big), T.concat_channels([big, big]), T.relu(T.relu(big))):
+            assert out._verified and (out.data == np.float32(3e38)).all()
+
+
+def _block_bytes(sample_bytes, channel_bytes, layout):
+    """A block size under which ``_blocks`` splits channels, holds one sample
+    or spans several samples."""
+    return {"channels": max(1, 2 * channel_bytes - 1), "sample": sample_bytes,
+            "samples": 2 * sample_bytes + 1}[layout]
+
+
+class TestBlocks:
+    """Per-element passes over cache-sized blocks give the whole-map values."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), c=st.integers(1, 7), h=st.integers(1, 6), w=st.integers(1, 6),
+           itemsize=st.sampled_from([4, 8]), block=st.integers(1, 2000))
+    def test_blocks_tile_the_map(self, n, c, h, w, itemsize, block):
+        seen = np.zeros((n, c, h, w), int)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_BLOCK_BYTES", block)
+            blocks = T._blocks((n, c, h, w), itemsize)
+        for samples, chans in blocks:
+            seen[samples, chans] += 1
+            part = seen[samples, chans]
+            if c * h * w * itemsize <= block:  # whole samples
+                assert part.shape[1] == c and part.size * itemsize <= block
+            else:  # a channel group of one sample
+                assert part.shape[0] == 1 and (part.shape[1] == 1 or part.size * itemsize <= block)
+        assert (seen == 1).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4), c=st.integers(1, 5), h=st.integers(1, 7), w=st.integers(1, 7),
+           layout=st.sampled_from(["channels", "sample", "samples"]),
+           dtype=st.sampled_from(DTYPES), wide_beta=st.booleans(),
+           mode=st.sampled_from(["train", "eval"]), seed=st.integers(0, 2**16))
+    def test_batchnorm_matches_the_whole_map(self, n, c, h, w, layout, dtype, wide_beta, mode,
+                                             seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        gamma = (0.5 + rng.random(c)).astype(dtype)
+        beta = rng.standard_normal(c).astype(np.float64 if wide_beta else dtype)
+        mean, var = rng.standard_normal(c).astype(dtype), (0.2 + rng.random(c)).astype(dtype)
+
+        def r(a):
+            return a.reshape(1, c, 1, 1)
+
+        if mode == "train":
+            m, v = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+            count = n * h * w
+            unbiased = v * count / (count - 1) if count > 1 else v
+            want_mean, want_var = mean * (1.0 - 0.1) + 0.1 * m, var * (1.0 - 0.1) + 0.1 * unbiased
+        else:
+            m, v, want_mean, want_var = mean, var, mean, var
+        ref = (x - r(m)) * r(1.0 / np.sqrt(v + 1e-3)) * r(gamma) + r(beta)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_BLOCK_BYTES", _block_bytes(x[0].nbytes, h * w * x.itemsize, layout))
+            out = T.batchnorm2d(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), mean, var, mode=mode)
+        assert out.dtype == ref.dtype
+        np.testing.assert_array_equal(out.data, ref)
+        np.testing.assert_array_equal(mean, want_mean)
+        np.testing.assert_array_equal(var, want_var)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), c=st.integers(1, 4), h=st.integers(3, 9), w=st.integers(3, 9),
+           wh=st.integers(1, 3), ww=st.integers(1, 3), sh=st.integers(1, 2), sw=st.integers(1, 2),
+           layout=st.sampled_from(["channels", "sample", "samples"]),
+           dtype=st.sampled_from(DTYPES), seed=st.integers(0, 2**16))
+    def test_maxpool_matches_the_whole_map(self, n, c, h, w, wh, ww, sh, sw, layout, dtype, seed):
+        x = np.random.default_rng(seed).standard_normal((n, c, h, w)).astype(dtype)
+        geometry = dict(window=(wh, ww), stride=(sh, sw), padding=(wh // 2, ww // 2))
+        whole = T.maxpool2d(T.Tensor(x), **geometry)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_BLOCK_BYTES", _block_bytes(x[0].nbytes, h * w * x.itemsize, layout))
+            out = T.maxpool2d(T.Tensor(x), **geometry)
+        np.testing.assert_array_equal(out.data, whole.data)
+        np.testing.assert_array_equal(out.data, pool_loop(x, (wh, ww), (sh, sw),
+                                                          geometry["padding"], "max"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 4),
+           h=st.integers(3, 9), w=st.integers(3, 9), k=st.sampled_from([1, 3]),
+           stride=st.integers(1, 2), band_rows=st.integers(1, 4), block=st.integers(1, 600),
+           bias=st.sampled_from(["none", "same", "wide"]), dtype=st.sampled_from(DTYPES),
+           seed=st.integers(0, 2**16))
+    def test_conv_spans_match_the_whole_output(self, n, cin, cout, h, w, k, stride, band_rows,
+                                               block, bias, dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, cin, h, w)).astype(dtype)
+        wt = rng.standard_normal((cout, cin, k, k)).astype(dtype)
+        b = None if bias == "none" else rng.standard_normal(cout).astype(
+            np.float64 if bias == "wide" else dtype)
+        pad = k // 2
+        ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_COL_BUFFER_BYTES", band_rows * cin * k * k * wo * x.itemsize)
+            mp.setattr(T, "_BLOCK_BYTES", block)
+            # the same bands, without bias or scan, and the bias added whole
+            whole = T._correlate(T._padded(x, pad, pad), wt.reshape(cout, -1),
+                                 k, k, stride, stride, ho, wo).reshape(n, cout, ho, wo)
+            if b is not None:
+                whole = whole + b.reshape(1, cout, 1, 1)
+            out = T.conv2d(T.Tensor(x), T.Tensor(wt), stride=stride, padding=pad,
+                           bias=None if b is None else T.Tensor(b))
+        assert out.dtype == whole.dtype
+        np.testing.assert_array_equal(out.data, whole)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("op", ["conv2d", "batchnorm2d-train", "batchnorm2d-eval"])
+    def test_non_finite_in_the_last_block_raises(self, op, value, scanned, monkeypatch):
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 64)
+        monkeypatch.setattr(T, "_COL_BUFFER_BYTES", 3 * 9 * 6 * 4)  # bands of one row
+        x = np.random.default_rng(5).standard_normal((2, 3, 5, 6)).astype(np.float32)
+        x[-1, -1, -1, -1] = value
+        ones = T.Tensor(np.ones(3, np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"^{op.split('-')[0]}: non-finite values"):
+                if op == "conv2d":
+                    T.conv2d(T.Tensor(x), T.Tensor(np.ones((3, 3, 3, 3), np.float32)), padding=1,
+                             bias=ones)
+                else:
+                    T.batchnorm2d(T.Tensor(x), ones, ones, np.zeros(3, np.float32),
+                                  np.ones(3, np.float32), mode=op.split("-")[1])
+        # every block before the last passed its scan
+        assert len(scanned) > 2 and len(set(scanned)) == 1
 
 
 class TestForward:
