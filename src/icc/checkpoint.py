@@ -67,5 +67,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise DataError(f"{path}: truncated checkpoint record") from None
         except UnicodeDecodeError:
             raise DataError(f"{path}: parameter name at byte {pos} is not UTF-8") from None
+        if name in params:
+            raise DataError(f"{path}: parameter {name!r} appears twice")
         params[name] = np.frombuffer(body, dtype=dtype).reshape(shape).copy()
     return params

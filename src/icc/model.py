@@ -739,8 +739,8 @@ class _BufferPlan:
       concat's output (the first such concat's). A placed concat's slice
       holds its own inputs' slices, so nested concats share one buffer, and
       a concat copies only the inputs not already in place.
-    - donation: an in-place kind writes over its first input when it is that
-      input's last reader, reads it once, and the input is neither the graph
+    - donation: an in-place kind writes over the first of its inputs whose
+      last reader it is, which it reads once, and which is neither the graph
       input, a tap, placed, nor a concat holding placed inputs (their slices
       of its buffer may still be read).
     A concat's buffer is made when its first placed input runs and dropped
@@ -762,11 +762,14 @@ class _BufferPlan:
         hosts = {concat for concat, _ in self.placed.values()}
         self.donor: dict[str, str] = {}  # layer -> the input it writes over
         for i, l in enumerate(graph.layers):
-            src = l.inputs[0] if l.inputs else None
-            if (kind[l.name].in_place and l.name not in self.placed and last_reader[src] == i
-                    and l.reads().count(src) == 1 and src not in self.placed
-                    and src not in hosts and src not in keep and kind[src].arity != 0):
-                self.donor[l.name] = src
+            if not kind[l.name].in_place or l.name in self.placed:
+                continue
+            reads = l.reads()
+            dying = [src for src in reads if last_reader[src] == i and reads.count(src) == 1
+                     and src not in self.placed and src not in hosts and src not in keep
+                     and kind[src].arity != 0]
+            if dying:
+                self.donor[l.name] = dying[0]
         self.shapes, self.n, self.dtype = shapes, n, dtype
         self.buffers: dict[str, np.ndarray] = {}  # outputs made before their layer runs
 
@@ -850,8 +853,7 @@ def forward(
     last_reader = {src: i for i, l in enumerate(graph.layers) for src in l.reads()}
     plan = None
     if not requires_grad:
-        # in a graph without parameters, the dtype the input layer's Tensor takes
-        plan = _BufferPlan(graph, infer_shapes(graph, x.shape[1:]), x.shape[0], T.Tensor(x).dtype,
+        plan = _BufferPlan(graph, infer_shapes(graph, x.shape[1:]), x.shape[0], x.dtype,
                            last_reader, keep)
     values: dict[str, T.Tensor] = {}
     taps: dict[str, T.Tensor] = {}

@@ -1,12 +1,14 @@
 """Dense tensors with reverse-mode differentiation over a fixed operator set.
 
 Everything is numpy underneath. A Tensor wraps one float32 or float64 array
-and the operators below record just enough of the forward pass to run the
-reverse sweep. The operator set is exactly what the counting network needs:
-conv2d (plus the two-stage separable form), max/avg pooling, adaptive average
-pooling, batch norm, relu/sigmoid, bilinear/nearest resizing, channel
-concat/sum and elementwise arithmetic, each a function (a Tensor has no
-arithmetic operators). An op's output has its tensor operands' dtype; a
+(any other dtype is a ValueError) and the operators below record just enough
+of the forward pass to run the reverse sweep. The operator set is exactly
+what the counting network needs: conv2d (plus the two-stage separable form),
+max/avg pooling, adaptive average pooling, batch norm, relu/sigmoid,
+bilinear/nearest resizing, channel concat/sum and elementwise arithmetic,
+each a function (a Tensor has no arithmetic operators). An op takes one
+dtype, as PyTorch's do: tensor operands that mix float32 and float64 are a
+ValueError naming the op (``_one_dtype``), and the output has their dtype. A
 number given to the arithmetic ops takes the dtype of the Tensor beside it.
 
 Every forward op's output is finite, or NumericError names the op at once
@@ -16,11 +18,11 @@ after the op's proof, and a Tensor the caller builds is never verified.
 relu, sigmoid, max pooling and channel concat cannot make a non-finite value
 from finite operands (every max-pooling window holds an in-bounds cell), so
 they scan nothing when every operand is verified; an unverified operand's
-output is scanned. Batch norm's four affine passes and its scan, both axis
-passes of max pooling, and conv2d's bias add and scan run block by block
-over about ``_BLOCK_BYTES`` of the map (``_blocks``: whole samples when one
-fits, else channel groups of one sample; conv2d takes spans of its completed
-bands), so that each pass finds its block still in cache.
+output is scanned. Batch norm's four affine passes and its scan and both
+axis passes of max pooling run block by block over about ``_BLOCK_BYTES`` of
+the map (``_blocks``: whole samples when one fits, else channel groups of one
+sample), and conv2d adds its bias to each band of output rows and scans it
+right after the band's GEMM, so that each pass finds its block still in cache.
 
 An op records its backward exactly when one of its operands requires grad.
 Each op has one forward, which runs whether or not it records. relu,
@@ -60,7 +62,7 @@ _BLOCK_BYTES = 1 << 20
 
 
 def set_default_dtype(dtype) -> None:
-    """Select the dtype of non-float data in a Tensor and of new parameters."""
+    """Select the dtype ``icc.model.init_parameters`` gives new parameters."""
     global _DEFAULT_DTYPE
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -76,8 +78,8 @@ def _check_finite(data: np.ndarray, op: str) -> None:
     # A finite sum rules out NaN and Inf in one pass with no temporary; a
     # non-finite one may be an overflow of finite values, so scan then. Ops
     # call it on a whole output, on each block of one (batch norm) or on
-    # each span of completed conv bands, and not at all where verified
-    # operands prove the output finite.
+    # each conv band, and not at all where verified operands prove the
+    # output finite.
     with np.errstate(over="ignore", invalid="ignore"):
         total = data.sum()
     if not np.isfinite(total) and not np.all(np.isfinite(data)):
@@ -111,7 +113,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_DEFAULT_DTYPE)
+            raise ValueError(f"Tensor data must be float32 or float64, not {arr.dtype}")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -227,9 +229,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _into(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``ufunc(a, b)``, written over ``a`` unless numpy promotes to a wider dtype."""
-    return ufunc(a, b, out=a if np.result_type(a, b) == a.dtype else None)
+def _one_dtype(op: str, *operands: Tensor):
+    """The one dtype of ``op``'s tensor operands; ValueError if they mix two."""
+    dtype = operands[0].dtype
+    for t in operands[1:]:
+        if t.dtype != dtype:
+            raise ValueError(f"{op}: operands mix {dtype} and {t.dtype}")
+    return dtype
 
 
 def _target(op: str, out, operands, shape, dtype):
@@ -255,9 +261,9 @@ def _binary(op: str, a, b, forward, grads, out) -> Tensor:
     ``grads(g, a, b)`` returns each operand's gradient at the broadcast shape;
     it is summed down to the operand's."""
     a, b = _operands(a, b)
+    dtype = _one_dtype(op, a, b)
     if out is not None:
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        out = _target(op, out, (a, b), shape, np.result_type(a.data, b.data))
+        out = _target(op, out, (a, b), np.broadcast_shapes(a.shape, b.shape), dtype)
 
     def backward(g):
         ga, gb = grads(g, a.data, b.data)
@@ -402,42 +408,23 @@ def _conv_bands(xp: np.ndarray, kh, kw, sh, sw, ho, wo):
             yield s, r0, r, cols.reshape(k, r * wo)
 
 
-def _spans(a: np.ndarray, start: int, stop: int) -> list:
-    """Views of the [N, C, P] ``a`` that hold, in every channel, the flat
-    positions [start, stop) of its (sample, position) order."""
-    p = a.shape[2]
-    (s0, p0), (s1, p1) = divmod(start, p), divmod(stop, p)
-    if s0 == s1:
-        return [a[s0, :, p0:p1]]
-    head = [a[s0, :, p0:]] if p0 else []
-    whole = [a[s0 + bool(p0) : s1]] if s1 > s0 + bool(p0) else []
-    return head + whole + ([a[s1, :, :p1]] if p1 else [])
-
-
 def _correlate(xp: np.ndarray, wmat: np.ndarray, kh, kw, sh, sw, ho, wo,
                bias=None, op=None) -> np.ndarray:
     """[N, Cout, ho*wo]: the [Cout, C*kh*kw] ``wmat`` times each band's columns
     of the padded input ``xp``, written straight into its slice of the output.
 
-    With ``op``, the completed bands get ``bias`` (which must not widen the
-    output's dtype) added and are scanned for ``op`` in spans of at least
-    ``_BLOCK_BYTES``, or all at once at the end of an output under a block.
+    Each band, while the GEMM has just left it in cache, gets ``bias`` added
+    when one is given and is scanned for ``op`` when one is named.
     """
-    n, p = xp.shape[0], ho * wo
-    out = np.empty((n, wmat.shape[0], p), np.result_type(xp, wmat))
-    span = _BLOCK_BYTES // max(1, out.shape[1] * out.itemsize)  # flat positions
-    done = 0
+    out = np.empty((xp.shape[0], wmat.shape[0], ho * wo), xp.dtype)
     # a non-finite weight times a zero pad is NaN; the scan reports it
     with np.errstate(invalid="ignore", over="ignore"):
         for s, r0, r, cols in _conv_bands(xp, kh, kw, sh, sw, ho, wo):
-            np.matmul(wmat, cols, out=out[s, :, r0 * wo : (r0 + r) * wo])
-            end = s * p + (r0 + r) * wo
-            if op is not None and (end - done >= span or end == n * p):
-                for part in _spans(out, done, end):
-                    if bias is not None:
-                        part += bias.reshape(-1, 1)
-                    _check_finite(part, op)
-                done = end
+            band = np.matmul(wmat, cols, out=out[s, :, r0 * wo : (r0 + r) * wo])
+            if bias is not None:
+                band += bias.reshape(-1, 1)
+            if op is not None:
+                _check_finite(band, op)
     return out
 
 
@@ -463,17 +450,11 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
             raise ShapeError(f"conv2d: bias shape {b.shape} != ({cout},) (dim 0)")
 
     parents = (x, weight) if b is None else (x, weight, b)
+    _one_dtype("conv2d", *parents)
     geometry = (kh, kw, sh, sw, ho, wo)
-    xp, wmat = _padded(x.data, ph, pw), weight.data.reshape(cout, -1)
-    # The bands take the bias and the scan, unless the bias would widen the
-    # output's dtype: then it is added to the whole output and _make scans.
-    dtype = np.result_type(xp, wmat)
-    widens = b is not None and np.result_type(dtype, b.data) != dtype
-    out = _correlate(xp, wmat, *geometry, bias=None if b is None or widens else b.data,
-                     op=None if widens else "conv2d")
+    out = _correlate(_padded(x.data, ph, pw), weight.data.reshape(cout, -1), *geometry,
+                     bias=None if b is None else b.data, op="conv2d")
     out_data = out.reshape(n, cout, ho, wo)
-    if widens:
-        out_data = np.add(out_data, b.data.reshape(1, cout, 1, 1))
 
     def backward(g):
         if b is not None and b.requires_grad:
@@ -496,7 +477,7 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
                             kh, kw, 1, 1, h, w)
             _accumulate(x, gx.reshape(n, cin, h, w))
 
-    return _make(out_data, parents, backward, "conv2d", checked=not widens)
+    return _make(out_data, parents, backward, "conv2d", checked=True)
 
 
 def separable_conv2d(x, kernel_v, kernel_h, stride=1, padding=(0, 0), bias=None) -> Tensor:
@@ -617,7 +598,7 @@ def batchnorm2d(
         )
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm2d: mode must be 'train' or 'eval', got {mode!r}")
-    dtype = np.result_type(x.data, gamma.data, beta.data)
+    dtype = _one_dtype("batchnorm2d", x, gamma, beta)
     out = _target("batchnorm2d", out, (x, gamma, beta), x.shape, dtype)
 
     # a non-finite input is the scan's NumericError, not a numpy warning first
@@ -641,18 +622,13 @@ def batchnorm2d(
         scale, shift = gamma.data.reshape(1, c, 1, 1), beta.data.reshape(1, c, 1, 1)
         out_data = np.empty(x.shape, dtype) if out is None else out
         # Block by block, so that each pass and the scan find the block in cache.
-        # ``out`` may be x's own buffer: the statistics are taken by now. An
-        # affine op that widens the dtype makes the block anew, as on a whole map.
+        # ``out`` may be x's own buffer: the statistics are taken by now.
         for samples, chans in _blocks(x.shape, x.data.itemsize):
-            block = out_data[samples, chans]
-            per_channel = (slice(None), chans)
-            t = np.subtract(x.data[samples, chans], m[per_channel],
-                            out=block if block.dtype == x.dtype else None)
-            t *= inv[per_channel]
-            t = _into(np.multiply, t, scale[per_channel])
-            t = _into(np.add, t, shift[per_channel])
-            if t is not block:
-                block[...] = t
+            block, per_channel = out_data[samples, chans], (slice(None), chans)
+            np.subtract(x.data[samples, chans], m[per_channel], out=block)
+            block *= inv[per_channel]
+            block *= scale[per_channel]
+            block += shift[per_channel]
             _check_finite(block, "batchnorm2d")
 
     def backward(g):
@@ -814,7 +790,7 @@ def concat_channels(inputs, out=None) -> Tensor:
                     f"{first.shape[dim]} along dim {dim}"
                 )
     shape = (first.shape[0], sum(t.shape[1] for t in inputs)) + first.shape[2:]
-    dtype = np.result_type(*(t.data for t in inputs))
+    dtype = _one_dtype("concat_channels", *inputs)
     out_data = _target("concat_channels", out, inputs, shape, dtype)
     if out_data is None:
         out_data = np.empty(shape, dtype)

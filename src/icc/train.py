@@ -285,11 +285,10 @@ def random_crop_padded(ann: D.AnnotatedImage, hc: int, wc: int, rng) -> D.Sample
 
 
 def _validation_mae(graph, params, images) -> float:
-    errors = []
-    for ann in images:
-        pred = M.predict_density(graph, params, ann.image)
-        errors.append(abs(float(pred.sum()) - len(ann.points)))
-    return float(np.mean(errors))
+    """The MAE of ``icc eval``: ``aggregate_metrics`` over whole-image counts."""
+    z = [len(ann.points) for ann in images]
+    zhat = [float(M.predict_density(graph, params, ann.image).sum()) for ann in images]
+    return aggregate_metrics(z, zhat)[0]
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -60,6 +60,17 @@ def test_rejects_truncated_record(tmp_path):
         load_checkpoint(path)
 
 
+def test_rejects_a_repeated_name(tmp_path):
+    # records follow the 8-byte header back to back, so a second file's
+    # records appended to a first make one checkpoint that names "w" twice
+    first, second, path = tmp_path / "a.iccw", tmp_path / "b.iccw", tmp_path / "m.iccw"
+    save_checkpoint(first, {"w": np.zeros(2, np.float32), "b": np.ones(1, np.float32)})
+    save_checkpoint(second, {"w": np.ones(2, np.float32)})
+    path.write_bytes(first.read_bytes() + second.read_bytes()[8:])
+    with pytest.raises(DataError, match="parameter 'w' appears twice"):
+        load_checkpoint(path)
+
+
 def test_rejects_integer_arrays():
     with pytest.raises(ValueError, match="dtype"):
         save_checkpoint("/tmp/never-written.iccw", {"a": np.arange(3)})

@@ -28,11 +28,12 @@ An op's output is checked for NaN and Inf unless its operands prove it
 finite: relu, sigmoid, max pooling and channel concat skip the check when
 every operand was made by an op (is verified), which is counted through the
 calls to ``_check_finite``, and raise on a caller-built operand exactly as
-a check of their output does. Batch norm, max pooling and conv2d's bias and
-check run over cache-sized blocks; with ``_BLOCK_BYTES`` monkeypatched so
-that blocks split channels, hold one sample or span several, and conv bands
-of a few rows, their outputs are held bit for bit to the whole-map
-formulas, and a value planted in the last block still raises.
+a check of their output does. Batch norm and max pooling run over
+cache-sized blocks, and conv2d adds its bias to each band and checks it
+there; with ``_BLOCK_BYTES`` monkeypatched so that blocks split channels,
+hold one sample or span several, and conv bands of 1-4 rows, their outputs
+are held bit for bit to the whole-map formulas, and a value planted in the
+last block or band still raises.
 
 A recorded pooling op holds its output and no padded copy of its input
 between the passes. Pooling and batch norm are held to an independent reference: the loop
@@ -169,21 +170,41 @@ class TestConv2d:
         assert rec._backward is not None
 
 
-def test_mixed_dtypes_promote_as_on_the_grad_path():
+def test_mixed_dtypes_are_refused():
+    # Each op, with each tensor operand in turn holding the other dtype, in
+    # both orders: a ValueError naming the op and both dtypes, raised before
+    # anything is written to ``out`` or the running statistics.
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((1, 2, 6, 5)).astype(np.float32)
-    w = rng.standard_normal((3, 2, 3, 3))
-    fast, slow = both_paths(conv, [x, w], padding=1)
-    assert fast.dtype == slow.dtype == np.float64
-    np.testing.assert_array_equal(fast.data, slow.data)
-    g = 0.5 + rng.random(2)
-
-    def bn(x, g, b):
-        return T.batchnorm2d(x, g, b, np.zeros(2), np.ones(2), mode="eval")
-
-    fast, slow = both_paths(bn, [x, g, g])
-    assert fast.dtype == slow.dtype == np.float64
-    np.testing.assert_array_equal(fast.data, slow.data)
+    x, stats = (2, 3, 6, 5), [np.zeros(3), np.ones(3)]
+    ops = {  # op: (call, shapes of its tensor operands, shape of its output)
+        **{op: (lambda a, b, out, op=op: getattr(T, op)(a, b, out=out), [x, x], x)
+           for op in ("add", "sub", "mul", "div")},
+        "conv2d": (lambda x, w, b, out: T.conv2d(x, w, padding=1, bias=b),
+                   [x, (4, 3, 3, 3), (4,)], x),
+        "batchnorm2d": (lambda x, g, b, out: T.batchnorm2d(x, g, b, *stats, mode="train", out=out),
+                        [x, (3,), (3,)], x),
+        "concat_channels": (lambda a, b, out: T.concat_channels([a, b], out=out), [x, x],
+                            (2, 6, 6, 5)),
+    }
+    for op, (fn, shapes, out_shape) in ops.items():
+        for first, other in ((np.float32, np.float64), (np.float64, np.float32)):
+            for odd in range(len(shapes)):
+                operands = [T.Tensor((0.5 + rng.random(shape)).astype(other if i == odd else first))
+                            for i, shape in enumerate(shapes)]
+                out = np.full(out_shape, 7.0, first)
+                with pytest.raises(ValueError, match=f"^{op}: operands mix "
+                                   "(float32 and float64|float64 and float32)$"):
+                    fn(*operands, out=out)
+                assert (out == 7.0).all(), op
+                assert (stats[0] == 0.0).all() and (stats[1] == 1.0).all()
+    # a number takes the dtype of the Tensor beside it
+    for dtype in DTYPES:
+        assert T.add(T.Tensor(np.ones(3, dtype)), 1.5).dtype == dtype
+        assert T.mul(0.5, T.Tensor(np.ones(3, dtype))).dtype == dtype
+    # a Tensor holds float32 or float64 data only
+    for data in (np.arange(3), np.ones(3, np.float16), np.ones(3, bool), [1, 2]):
+        with pytest.raises(ValueError, match="^Tensor data must be float32 or float64, not "):
+            T.Tensor(data)
 
 
 POOL_CASES = [
@@ -361,13 +382,14 @@ class TestFiniteCheck:
         w = T.Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
         assert not x._verified
         y = T.conv2d(x, w, padding=1)
-        assert scanned == ["conv2d"] and y._verified
+        assert scanned == ["conv2d"] * 2 and y._verified  # one scan per band, a sample each
+        del scanned[:]
         chain = T.concat_channels([T.maxpool2d(T.relu(y), 2), T.sigmoid(T.maxpool2d(y, 2))])
-        assert scanned == ["conv2d"] and chain._verified
+        assert scanned == [] and chain._verified
         # a caller-built operand anywhere brings the scan back
         T.concat_channels([chain, T.Tensor(chain.data)])
         T.relu(T.Tensor(y.data))
-        assert scanned == ["conv2d", "concat_channels", "relu"]
+        assert scanned == ["concat_channels", "relu"]
 
     def test_overflowing_sum_passes_the_verified_ops(self):
         big = T.Tensor(np.full((1, 1, 1, 2), 3e38, np.float32))
@@ -405,14 +427,13 @@ class TestBlocks:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 4), c=st.integers(1, 5), h=st.integers(1, 7), w=st.integers(1, 7),
            layout=st.sampled_from(["channels", "sample", "samples"]),
-           dtype=st.sampled_from(DTYPES), wide_beta=st.booleans(),
-           mode=st.sampled_from(["train", "eval"]), seed=st.integers(0, 2**16))
-    def test_batchnorm_matches_the_whole_map(self, n, c, h, w, layout, dtype, wide_beta, mode,
-                                             seed):
+           dtype=st.sampled_from(DTYPES), mode=st.sampled_from(["train", "eval"]),
+           seed=st.integers(0, 2**16))
+    def test_batchnorm_matches_the_whole_map(self, n, c, h, w, layout, dtype, mode, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, c, h, w)).astype(dtype)
         gamma = (0.5 + rng.random(c)).astype(dtype)
-        beta = rng.standard_normal(c).astype(np.float64 if wide_beta else dtype)
+        beta = rng.standard_normal(c).astype(dtype)
         mean, var = rng.standard_normal(c).astype(dtype), (0.2 + rng.random(c)).astype(dtype)
 
         def r(a):
@@ -453,21 +474,18 @@ class TestBlocks:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 4),
            h=st.integers(3, 9), w=st.integers(3, 9), k=st.sampled_from([1, 3]),
-           stride=st.integers(1, 2), band_rows=st.integers(1, 4), block=st.integers(1, 600),
-           bias=st.sampled_from(["none", "same", "wide"]), dtype=st.sampled_from(DTYPES),
-           seed=st.integers(0, 2**16))
+           stride=st.integers(1, 2), band_rows=st.integers(1, 4), bias=st.booleans(),
+           dtype=st.sampled_from(DTYPES), seed=st.integers(0, 2**16))
     def test_conv_spans_match_the_whole_output(self, n, cin, cout, h, w, k, stride, band_rows,
-                                               block, bias, dtype, seed):
+                                               bias, dtype, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, cin, h, w)).astype(dtype)
         wt = rng.standard_normal((cout, cin, k, k)).astype(dtype)
-        b = None if bias == "none" else rng.standard_normal(cout).astype(
-            np.float64 if bias == "wide" else dtype)
+        b = rng.standard_normal(cout).astype(dtype) if bias else None
         pad = k // 2
         ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(T, "_COL_BUFFER_BYTES", band_rows * cin * k * k * wo * x.itemsize)
-            mp.setattr(T, "_BLOCK_BYTES", block)
             # the same bands, without bias or scan, and the bias added whole
             whole = T._correlate(T._padded(x, pad, pad), wt.reshape(cout, -1),
                                  k, k, stride, stride, ho, wo).reshape(n, cout, ho, wo)
@@ -527,6 +545,7 @@ ablation none
 tap output top
 tap gate s
 tap placed ga
+tap dying k4
 layer input kind=input channels=3
 layer a.conv kind=conv inputs=input cin=3 cout=4 kh=3 kw=3 stride_h=1 stride_w=1 pad_h=1 pad_w=1
 layer a.bn kind=batchnorm inputs=a.conv channels=4
@@ -549,6 +568,10 @@ layer ge kind=add inputs=ga,gb
 layer z kind=scalar_add inputs=input value=-0.25
 layer z2 kind=mul inputs=input,z
 layer z3 kind=relu inputs=z2
+layer k1 kind=sigmoid inputs=input
+layer k2 kind=relu inputs=input
+layer k3 kind=sub inputs=k1,k2
+layer k4 kind=div inputs=k3,k1
 layer top kind=concat inputs=c1,up,f,z3,gs,ge
 """
 
@@ -598,9 +621,11 @@ class TestBufferPlan:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_hand_written_graph(self, dtype):
         # p feeds two concats, c2 reads s twice, concat c1 lands inside top,
-        # the input is read by a concat and, last, as z2's first operand, and
-        # gd, the last reader of gc, must not write over ga and gb in gc's
-        # buffer: ge and the tap read them afterwards
+        # the input is read by a concat and as z2's first operand, so z2
+        # writes over its second, z; gd, the last reader of gc, must not
+        # write over ga and gb in gc's buffer: ge and the tap read them
+        # afterwards; k3 writes over its second operand, k2, as k1 lives on,
+        # and k4, the last reader of both its operands, over the first
         graph = M.GraphDescription.from_text(HAND_GRAPH)
         params = M.init_parameters(graph, 7, dtype)
         x = np.random.default_rng(8).standard_normal((2, 3, 10, 14)).astype(dtype)
@@ -614,7 +639,18 @@ class TestBufferPlan:
         assert plan.placed == {"p": ("c1", 0), "a.relu": ("c1", 4), "c1": ("top", 0),
                                "up": ("top", 11), "f": ("top", 23), "z3": ("top", 35),
                                "ga": ("gc", 0), "gb": ("gc", 3), "ge": ("top", 39)}
-        assert plan.donor == {"a.bn": "a.conv", "e": "c2", "f0": "e"}
+        assert plan.donor == {"a.bn": "a.conv", "e": "c2", "f0": "e", "z2": "z", "k3": "k2",
+                              "k4": "k3"}
+
+    def test_icc_plan_donates_a_dying_second_operand(self):
+        # context.s{s}.gated = mul(gate, up): the gate lives on into the
+        # gate sum, and up, read last there, is written over
+        graph = M.build_icc(M.ModelConfig(width_scale=0.25))
+        shapes = M.infer_shapes(graph, (3, 64, 64))
+        last_reader = {src: i for i, l in enumerate(graph.layers) for src in l.reads()}
+        plan = M._BufferPlan(graph, shapes, 1, np.float32, last_reader, set(graph.taps.values()))
+        for s in (1, 2, 3, 6):
+            assert plan.donor[f"context.s{s}.gated"] == f"context.s{s}.up"
 
     def test_concat_taps_share_the_fusion_buffer(self):
         graph = M.build_icc(M.ModelConfig(width_scale=0.25))

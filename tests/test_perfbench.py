@@ -36,3 +36,29 @@ def test_tracer_records_each_sinkhorn_solve(monkeypatch):
     assert type(converged) is bool
     assert type(marginal_error) is float and marginal_error >= 0.0
     assert {"loss.ot_loss", "loss.sinkhorn"} <= {s.name for s in tracer.spans}
+
+
+def test_traced_call_counts_of_one_prediction(monkeypatch):
+    # The per-kind call counts the benchmark reports for one width-0.25
+    # prediction: an op that starts or stops calling another public op (a
+    # conv bias added through ``add``, say) changes them.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import harness
+    import workloads
+
+    from icc import model as M
+
+    graph = M.build_icc(M.ModelConfig(width_scale=0.25))
+    params = M.init_parameters(graph, 0, np.float32)
+    image = np.random.default_rng(0).uniform(0, 1, (3, 64, 64)).astype(np.float32)
+    tracer = harness.Tracer("test")
+    workloads.register_layers(tracer)
+    tracer.install(1)
+    try:
+        M.predict_density(graph, params, image)
+    finally:
+        tracer.uninstall()
+    metrics = workloads.layer_metrics(tracer, graph, 0.0, 0.0)
+    calls = {kind: metrics[f"tensor.{kind}.calls"] for kind in workloads.TENSOR_KINDS}
+    assert calls == {"conv2d": 51, "maxpool2d": 3, "avgpool2d": 8, "batchnorm2d": 40,
+                     "interpolate": 6, "concat_channels": 7, "elementwise": 64}

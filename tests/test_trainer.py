@@ -402,6 +402,7 @@ class TestCLI:
         "image-16x16": "16x16 image (padded to 32x32) does not fit: context.s6.pool",
         "image-0x0": "0x0 image (padded to 0x0) does not fit: stem.conv1.conv",
         "float64-array": "1 not float32: decoder.conv1.b (float64)",
+        "repeated-name": "parameter 'decoder.conv1.b' appears twice",
         "output-not-map": "output tap stem.pool2 gives (48, 8, 8), not a (1, 8, 8) density map",
     }
 
@@ -426,6 +427,10 @@ class TestCLI:
         D.write_ppm(image, np.full((3, extent, extent), 0.5, np.float32))
         ckpt = tmp_path / "model.iccw"
         save_checkpoint(ckpt, params)
+        if case == "repeated-name":  # a second record appended after the first file's
+            extra = tmp_path / "extra.iccw"
+            save_checkpoint(extra, {"decoder.conv1.b": params["decoder.conv1.b"]})
+            ckpt.write_bytes(ckpt.read_bytes() + extra.read_bytes()[8:])
         (tmp_path / "model.graph").write_text(graph.to_text(), encoding="utf-8")
         proc = run_infer_process(ckpt, tmp_path / "model.graph", image, tmp_path / "o.iccd")
         assert proc.returncode == 3, proc.stderr
