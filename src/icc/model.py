@@ -834,8 +834,8 @@ def forward(
     concat buffer, which it keeps alive. An intermediate is kept only when a
     tap names its layer. ``params`` must match the graph (DataError
     otherwise), and ``x`` is cast to their dtype and never written. A
-    NumericError or ShapeError raised by a layer is raised again, prefixed
-    with its name.
+    NumericError or ValueError (ShapeError, DataError) raised by a layer is
+    raised again as its own type, prefixed with the layer's name.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -861,7 +861,7 @@ def forward(
         ins = [values[s] for s in l.reads()] if l.inputs else [x]
         try:
             out = KINDS[l.kind].run(l, ins, p, mode, plan.out(l, values) if plan else None)
-        except (NumericError, ShapeError) as e:
+        except (NumericError, ValueError) as e:
             raise type(e)(f"{l.name}: {e}") from e
         values[l.name] = out
         for t, n in graph.taps.items():

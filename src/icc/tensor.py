@@ -9,7 +9,8 @@ bilinear/nearest resizing, channel concat/sum and elementwise arithmetic,
 each a function (a Tensor has no arithmetic operators). An op takes one
 dtype, as PyTorch's do: tensor operands that mix float32 and float64 are a
 ValueError naming the op (``_one_dtype``), and the output has their dtype. A
-number given to the arithmetic ops takes the dtype of the Tensor beside it.
+Python number given to the arithmetic ops takes the dtype of the Tensor
+beside it; an array keeps its own dtype.
 
 Every forward op's output is finite, or NumericError names the op at once
 instead of a NaN or Inf propagating silently. A Tensor records whether its
@@ -29,21 +30,22 @@ Each op has one forward, which runs whether or not it records. relu,
 sigmoid, the arithmetic ops, batch norm, max pooling, resizing and channel
 concat take a numpy-style ``out=`` to write their output into; they refuse
 it when an operand requires grad, since a recorded backward reads its
-operands and output again. conv2d fills a fixed-size column buffer one band
-of output rows at a time and multiplies each band straight into its slice
-of the output (a 1x1 stride-1 conv reads each sample's padded input as its
-band's columns, with no copy). Its weight gradient refills the same bands,
-so no column matrix is held between the passes; its input gradient runs
-the same band loop as a forward conv of the stride-spread gradient with the
-flipped, channel-swapped kernel. Max pooling reduces, one axis at a time,
-strided views of the unpadded input, each clipped to the windows whose cell
-at that offset is in bounds, and its backward finds each window's first
-maximum and adds into the same views; no -inf-padded copy is made. Conv and
-pooling share one window rule, ``window_out``, which shape inference in
-``icc.model`` uses too. Average and adaptive average pooling and bilinear
-and nearest resizing are separable linear maps, Rh·x·Rwᵀ, with the adjoint
-Rhᵀ·g·Rw as backward; all but bilinear resizing take their weights from
-one box rule.
+operands and output again. Conv and max pooling have one window walk,
+``_clipped``: per window offset, the strided view of the unpadded input's
+in-bounds cells and the outputs that read them; no padded copy is made.
+conv2d copies these views into a fixed-size column buffer one band of
+output rows at a time, the pad cells reading as zeros, and multiplies each
+band straight into its slice of the output (an unpadded 1x1 stride-1 conv
+reads each sample as its columns). Its weight gradient refills the same
+bands, and its input gradient runs the same band loop as a forward conv of
+``g`` (spread by the stride, if any) with the flipped, channel-swapped
+kernel under pads ``k-1-p``. Max pooling reduces the views one axis at a
+time, and its backward adds into them at each window's first maximum.
+Conv and pooling share one window rule, ``window_out``, which shape
+inference in ``icc.model`` uses too. Average and adaptive average pooling
+and bilinear and nearest resizing are separable linear maps, Rh·x·Rwᵀ,
+with the adjoint Rhᵀ·g·Rw as backward; all but bilinear resizing take
+their weights from one box rule.
 """
 
 from __future__ import annotations
@@ -208,12 +210,13 @@ def _coerce(x) -> Tensor:
 
 
 def _operands(a, b) -> tuple[Tensor, Tensor]:
-    """Both operands as Tensors; a non-Tensor one takes the other's dtype."""
-    if not isinstance(a, Tensor):
+    """Both operands as Tensors; a Python number takes the other's dtype, and
+    an array keeps its own."""
+    if type(a) in (int, float):
         a = Tensor(np.asarray(a, dtype=b.dtype))
-    if not isinstance(b, Tensor):
+    if type(b) in (int, float):
         b = Tensor(np.asarray(b, dtype=a.dtype))
-    return a, b
+    return _coerce(a), _coerce(b)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -359,67 +362,72 @@ def _window(op: str, x: Tensor, window, stride, padding, max_pool: bool = False)
     return wh, ww, sh, sw, ph, pw, ho, wo
 
 
-def _padded(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """``a`` with ``ph`` rows and ``pw`` columns of zeros around its trailing
-    axes (``a`` itself when unpadded)."""
-    if not (ph or pw):
-        return a
-    return np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-
-def _window_views(a: np.ndarray, wh, ww, sh, sw, ho, wo) -> list:
-    """For each window offset in row-major order, the strided view of ``a``'s
-    two trailing axes that the ho x wo windows read at that offset (the conv
-    band fill)."""
-    return [
-        a[..., i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw]
-        for i in range(wh)
-        for j in range(ww)
-    ]
+def _clipped(n_in: int, n_out: int, window: int, stride: int, pad: int) -> list:
+    """For each window offset along one axis padded by ``pad``: (outputs, inputs),
+    the slice of the outputs whose cell at that offset lies inside [0, n_in)
+    and the strided slice of those cells. The pad cells are left out; a
+    negative pad skips leading cells."""
+    spans = []
+    for i in range(window):
+        lo = max(0, -((i - pad) // stride))
+        hi = max(lo, min(n_out, (n_in - 1 + pad - i) // stride + 1))
+        first = lo * stride + i - pad
+        spans.append((slice(lo, hi), slice(first, first + stride * (hi - lo), stride)))
+    return spans
 
 
 # -- convolution ------------------------------------------------------------
 
 
-def _conv_bands(xp: np.ndarray, kh, kw, sh, sw, ho, wo):
+def _conv_bands(x: np.ndarray, kh, kw, sh, sw, ph, pw, ho, wo):
     """(sample, first output row, rows, columns) for each band of output rows
-    of a conv over the padded input ``xp``.
+    of a conv over the unpadded ``x`` under pads ``ph``, ``pw`` (a negative
+    pad skips cells), with ho x wo outputs.
 
     A band's columns, [C*kh*kw, rows*Wo], are filled into one buffer of
     ``_COL_BUFFER_BYTES`` that every band reuses, so they hold only until the
-    next band is drawn. A 1x1 stride-1 conv needs no columns: its output
-    extent is the padded extent, so each sample is one band whose columns are
-    a view of that sample's padded input.
+    next band is drawn. A band's rows are the first ``rows`` outputs of a
+    window origin moved down by its first row, and each offset copies only
+    its in-bounds cells. The buffer is zeroed, for the pad cells, only when a
+    band's rows and row spans differ from the last band's. An unpadded 1x1
+    stride-1 conv needs no columns: each sample is one band, viewed.
     """
-    n, c = xp.shape[:2]
-    if kh == kw == sh == sw == 1:
+    n, c, h, w = x.shape
+    if kh == kw == sh == sw == 1 and ph == pw == 0 and (ho, wo) == (h, w):
         for s in range(n):
-            yield s, 0, ho, xp[s].reshape(c, ho * wo)
+            yield s, 0, ho, x[s].reshape(c, ho * wo)
         return
     k = c * kh * kw
-    band = max(1, min(ho, _COL_BUFFER_BYTES // (k * wo * xp.itemsize)))
-    buf = np.empty(k * band * wo, dtype=xp.dtype)
+    band = max(1, min(ho, _COL_BUFFER_BYTES // (k * wo * x.itemsize)))
+    buf = np.empty(k * band * wo, dtype=x.dtype)
+    col_spans = _clipped(w, wo, kw, sw, pw)
+    zeroed = None
     for s in range(n):
         for r0 in range(0, ho, band):
             r = min(band, ho - r0)
-            cols = buf[: k * r * wo].reshape(c, kh * kw, r, wo)
-            for o, view in enumerate(_window_views(xp[s, :, sh * r0 :], kh, kw, sh, sw, r, wo)):
-                cols[:, o] = view
+            cols = buf[: k * r * wo].reshape(c, kh, kw, r, wo)
+            row_spans = _clipped(h, r, kh, sh, ph - sh * r0)
+            layout = (r, [o for o, _ in row_spans])
+            if layout != zeroed:
+                cols[...] = 0
+                zeroed = layout
+            for i, (ro, ri) in enumerate(row_spans):
+                for j, (co, ci) in enumerate(col_spans):
+                    cols[:, i, j, ro, co] = x[s, :, ri, ci]
             yield s, r0, r, cols.reshape(k, r * wo)
 
 
-def _correlate(xp: np.ndarray, wmat: np.ndarray, kh, kw, sh, sw, ho, wo,
+def _correlate(x: np.ndarray, wmat: np.ndarray, kh, kw, sh, sw, ph, pw, ho, wo,
                bias=None, op=None) -> np.ndarray:
     """[N, Cout, ho*wo]: the [Cout, C*kh*kw] ``wmat`` times each band's columns
-    of the padded input ``xp``, written straight into its slice of the output.
-
-    Each band, while the GEMM has just left it in cache, gets ``bias`` added
-    when one is given and is scanned for ``op`` when one is named.
+    of ``x`` under pads ``ph``, ``pw``, written straight into its slice of the
+    output. Each band, while the GEMM has just left it in cache, gets ``bias``
+    added when one is given and is scanned for ``op`` when one is named.
     """
-    out = np.empty((xp.shape[0], wmat.shape[0], ho * wo), xp.dtype)
+    out = np.empty((x.shape[0], wmat.shape[0], ho * wo), x.dtype)
     # a non-finite weight times a zero pad is NaN; the scan reports it
     with np.errstate(invalid="ignore", over="ignore"):
-        for s, r0, r, cols in _conv_bands(xp, kh, kw, sh, sw, ho, wo):
+        for s, r0, r, cols in _conv_bands(x, kh, kw, sh, sw, ph, pw, ho, wo):
             band = np.matmul(wmat, cols, out=out[s, :, r0 * wo : (r0 + r) * wo])
             if bias is not None:
                 band += bias.reshape(-1, 1)
@@ -451,8 +459,8 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
 
     parents = (x, weight) if b is None else (x, weight, b)
     _one_dtype("conv2d", *parents)
-    geometry = (kh, kw, sh, sw, ho, wo)
-    out = _correlate(_padded(x.data, ph, pw), weight.data.reshape(cout, -1), *geometry,
+    geometry = (kh, kw, sh, sw, ph, pw, ho, wo)
+    out = _correlate(x.data, weight.data.reshape(cout, -1), *geometry,
                      bias=None if b is None else b.data, op="conv2d")
     out_data = out.reshape(n, cout, ho, wo)
 
@@ -460,21 +468,23 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            # The input is padded and each band's columns filled again here
-            # rather than kept from the forward pass, so a step holds neither for long.
+            # Each band's columns are filled again here rather than kept
+            # from the forward pass, so a step does not hold them for long.
             gmat = g.reshape(n, cout, ho * wo)
             gw = np.zeros((cout, cin * kh * kw), g.dtype)
-            for s, r0, r, cols in _conv_bands(_padded(x.data, ph, pw), *geometry):
+            for s, r0, r, cols in _conv_bands(x.data, *geometry):
                 gw += gmat[s, :, r0 * wo : (r0 + r) * wo] @ cols.T
             _accumulate(weight, gw.reshape(weight.shape))
         if x.requires_grad:
-            # The transposed conv as a forward one: g spread by the stride
-            # with kh-1, kw-1 zeros ahead, correlated with the flipped kernel.
-            gz = np.zeros((n, cout, h + 2 * ph + kh - 1, w + 2 * pw + kw - 1), g.dtype)
-            gz[:, :, kh - 1 :: sh, kw - 1 :: sw][:, :, :ho, :wo] = g
+            # The transposed conv as a forward one: g, spread by the stride
+            # when there is one, correlated with the flipped kernel under
+            # pads kh-1-ph, kw-1-pw over the input's extents.
+            if (sh, sw) != (1, 1):
+                spread = np.zeros((n, cout, (ho - 1) * sh + 1, (wo - 1) * sw + 1), g.dtype)
+                spread[:, :, ::sh, ::sw] = g
+                g = spread
             wflip = weight.data[:, :, ::-1, ::-1].swapaxes(0, 1).reshape(cin, -1)
-            gx = _correlate(gz[:, :, ph : ph + h + kh - 1, pw : pw + w + kw - 1], wflip,
-                            kh, kw, 1, 1, h, w)
+            gx = _correlate(g, wflip, kh, kw, 1, 1, kh - 1 - ph, kw - 1 - pw, h, w)
             _accumulate(x, gx.reshape(n, cin, h, w))
 
     return _make(out_data, parents, backward, "conv2d", checked=True)
@@ -498,19 +508,6 @@ def separable_conv2d(x, kernel_v, kernel_h, stride=1, padding=(0, 0), bias=None)
 
 
 # -- pooling ----------------------------------------------------------------
-
-
-def _clipped(n_in: int, n_out: int, window: int, stride: int, pad: int) -> list:
-    """For each window offset along one axis padded by ``pad``: (outputs, inputs),
-    the slice of the outputs whose cell at that offset lies inside [0, n_in)
-    and the strided slice of those cells. The pad cells are left out."""
-    spans = []
-    for i in range(window):
-        lo = max(0, -((i - pad) // stride))
-        hi = max(lo, min(n_out, (n_in - 1 + pad - i) // stride + 1))
-        first = lo * stride + i - pad
-        spans.append((slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)))
-    return spans
 
 
 def _max_along(a: np.ndarray, axis: int, window, stride, pad, n_out, out=None) -> np.ndarray:

@@ -42,6 +42,22 @@ def conv_geometries(draw):
     return (n, cin, h, w), (cout, cin, kh, kw), (sh, sw), (ph, pw)
 
 
+def assert_conv_adjoint(geometry):
+    # conv is bilinear, so <conv(x, w), g> = <x, dx> = <w, dw> for the
+    # gradients of <conv(x, w), g>, each to rounding of the sum of the
+    # absolute products, <conv(|x|, |w|), |g|>
+    x_shape, w_shape, stride, padding = geometry
+    rng = np.random.default_rng(sum(x_shape + w_shape + stride + padding))
+    x, w = t(rng.standard_normal(x_shape)), t(rng.standard_normal(w_shape))
+    out = T.conv2d(x, w, stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape)
+    out.backward(g)
+    scale = np.vdot(T.conv2d(np.abs(x.data), np.abs(w.data), stride, padding).data, np.abs(g))
+    forward = np.vdot(out.data, g)
+    assert abs(np.vdot(x.data, x.grad) - forward) <= 1e-12 * scale
+    assert abs(np.vdot(w.data, w.grad) - forward) <= 1e-12 * scale
+
+
 class TestConvGradients:
     def test_conv2d_basic(self):
         x, w, b = t(rand(2, 3, 6, 6, seed=1)), t(rand(4, 3, 3, 3, seed=2)), t(rand(4, seed=3))
@@ -65,20 +81,20 @@ class TestConvGradients:
     @example(geometry=((2, 3, 6, 5), (2, 3, 2, 3), (3, 3), (3, 2)))  # pad >= kernel, rows unread
     @example(geometry=((1, 2, 8, 9), (3, 2, 5, 4), (2, 3), (0, 1)))  # (h + 2p - k) % s != 0
     @example(geometry=((2, 2, 1, 1), (2, 2, 1, 1), (3, 2), (3, 3)))  # a 1x1 input inside its pad
+    @example(geometry=((2, 3, 4, 6), (2, 3, 1, 1), (2, 2), (0, 0)))  # 1x1 strided, even extents
+    @example(geometry=((1, 2, 3, 5), (2, 2, 5, 5), (3, 3), (2, 2)))  # empty offset spans
     def test_conv2d_backward_is_adjoint(self, geometry):
-        # conv is bilinear, so <conv(x, w), g> = <x, dx> = <w, dw> for the
-        # gradients of <conv(x, w), g>, each to rounding of the sum of the
-        # absolute products, <conv(|x|, |w|), |g|>
-        x_shape, w_shape, stride, padding = geometry
-        rng = np.random.default_rng(sum(x_shape + w_shape + stride + padding))
-        x, w = t(rng.standard_normal(x_shape)), t(rng.standard_normal(w_shape))
-        out = T.conv2d(x, w, stride=stride, padding=padding)
-        g = rng.standard_normal(out.shape)
-        out.backward(g)
-        scale = np.vdot(T.conv2d(np.abs(x.data), np.abs(w.data), stride, padding).data, np.abs(g))
-        forward = np.vdot(out.data, g)
-        assert abs(np.vdot(x.data, x.grad) - forward) <= 1e-12 * scale
-        assert abs(np.vdot(w.data, w.grad) - forward) <= 1e-12 * scale
+        assert_conv_adjoint(geometry)
+
+    @settings(max_examples=30, deadline=None)
+    @given(geometry=conv_geometries())
+    @example(geometry=((2, 3, 4, 6), (2, 3, 1, 1), (2, 2), (0, 0)))
+    @example(geometry=((1, 2, 3, 5), (2, 2, 5, 5), (3, 3), (2, 2)))
+    @example(geometry=((1, 1, 4, 1), (1, 1, 1, 1), (2, 1), (2, 0)))  # a band's rows all in the pad
+    def test_conv2d_backward_is_adjoint_in_one_row_bands(self, geometry):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_COL_BUFFER_BYTES", 1)  # every band is one output row
+            assert_conv_adjoint(geometry)
 
     def test_separable_conv2d(self):
         x = t(rand(1, 2, 7, 7, seed=8))

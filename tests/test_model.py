@@ -174,6 +174,14 @@ class TestShapes:
                            match="^inception_a2.b3_2.conv: conv2d: non-finite values in output$"):
             run_image(graph, params, 64, 64)
 
+    def test_value_errors_name_the_layer(self):
+        # a graph without parameters casts nothing, so the input layer meets the int data
+        graph = M.GraphDescription.from_text(
+            "ICCGRAPH 1\nlayer input kind=input channels=3\n"
+            "layer act kind=relu inputs=input\ntap output act\n")
+        with pytest.raises(ValueError, match="^input: Tensor data must be float32 or float64"):
+            M.forward(graph, M.init_parameters(graph, 0), np.ones((1, 3, 4, 4), int))
+
     def test_mismatched_parameters_rejected(self):
         graph = M.build_icc(small_config())
         params = M.init_parameters(graph, 0)

@@ -150,16 +150,26 @@ class TestConv2d:
         for name, g in one_band.items():
             assert np.abs(banded[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
-    @pytest.mark.parametrize("padding", [(0, 0), (1, 2)])
-    def test_pointwise_columns_are_views_of_the_padded_input(self, padding):
+    def test_pointwise_columns_are_views_of_the_input(self):
         x = np.random.default_rng(10).standard_normal((2, 5, 13, 11))
-        xp = T._padded(x, *padding)
-        ho, wo = xp.shape[2:]
-        bands = list(T._conv_bands(xp, 1, 1, 1, 1, ho, wo))
-        assert [band[:3] for band in bands] == [(0, 0, ho), (1, 0, ho)]
+        bands = list(T._conv_bands(x, 1, 1, 1, 1, 0, 0, 13, 11))
+        assert [band[:3] for band in bands] == [(0, 0, 13), (1, 0, 13)]
         for s, _, _, cols in bands:
-            assert np.shares_memory(cols, xp[s])
-            np.testing.assert_array_equal(cols, xp[s].reshape(5, ho * wo))
+            assert np.shares_memory(cols, x[s])
+            np.testing.assert_array_equal(cols, x[s].reshape(5, 13 * 11))
+
+    @pytest.mark.parametrize("band_rows", [15, 4])
+    def test_padded_pointwise_bands_read_zeros_at_the_pads(self, band_rows, monkeypatch):
+        x = np.random.default_rng(10).standard_normal((2, 5, 13, 11))
+        ph, pw, ho, wo = 1, 2, 15, 15
+        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        monkeypatch.setattr(T, "_COL_BUFFER_BYTES", band_rows * 5 * wo * x.itemsize)
+        starts = list(range(0, ho, band_rows))
+        bands = [(s, r0, r, cols.copy())
+                 for s, r0, r, cols in T._conv_bands(x, 1, 1, 1, 1, ph, pw, ho, wo)]
+        assert [band[:2] for band in bands] == [(s, r0) for s in range(2) for r0 in starts]
+        for s, r0, r, cols in bands:
+            np.testing.assert_array_equal(cols, xp[s, :, r0 : r0 + r].reshape(5, r * wo))
 
     def test_grad_enabled_without_grad_operands_records_nothing(self):
         x, w = conv_case(np.random.default_rng(5), np.float32, (3, 3), False)
@@ -487,8 +497,8 @@ class TestBlocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(T, "_COL_BUFFER_BYTES", band_rows * cin * k * k * wo * x.itemsize)
             # the same bands, without bias or scan, and the bias added whole
-            whole = T._correlate(T._padded(x, pad, pad), wt.reshape(cout, -1),
-                                 k, k, stride, stride, ho, wo).reshape(n, cout, ho, wo)
+            whole = T._correlate(x, wt.reshape(cout, -1), k, k, stride, stride, pad, pad,
+                                 ho, wo).reshape(n, cout, ho, wo)
             if b is not None:
                 whole = whole + b.reshape(1, cout, 1, 1)
             out = T.conv2d(T.Tensor(x), T.Tensor(wt), stride=stride, padding=pad,

@@ -1,5 +1,6 @@
 """Forward contracts of the tensor ops against loop references."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -231,6 +232,18 @@ class TestWindowGeometry:
             M.infer_shapes(graph, (1, 4, 5))
         T.avgpool2d(t64(np.ones((1, 1, 4, 5))), window, 1, padding=padding)
 
+    def test_clipped_spans_pair_each_output_with_its_cell(self):
+        # every extent, window, stride, pad (negative: cells skipped) and
+        # output count in range, empty spans included
+        for n_in, window, stride, pad, n_out in itertools.product(
+                range(1, 14), range(1, 7), range(1, 5), range(-6, 7), range(1, 8)):
+            spans = T._clipped(n_in, n_out, window, stride, pad)
+            for offset, (o, i) in enumerate(spans):
+                cells = [q * stride + offset - pad for q in range(n_out)]
+                inside = [q for q, c in enumerate(cells) if 0 <= c < n_in]
+                assert list(range(n_out)[o]) == inside
+                assert list(range(n_in)[i]) == [cells[q] for q in inside]
+
     @settings(max_examples=150, deadline=None)
     @given(
         extent=st.tuples(st.integers(1, 12), st.integers(1, 12)),
@@ -330,6 +343,14 @@ class TestScalarOperands:
         for out in (T.add(t, 1e-6), T.add(1e-6, t), T.sub(t, 1.0), T.sub(1.0, t),
                     T.mul(t, 0.5), T.mul(-1.0, t), T.div(t, 2.0), T.div(2.0, t)):
             assert out.dtype == np.float32
+
+    def test_array_keeps_its_dtype(self):
+        t = T.Tensor(np.ones(3, np.float32))
+        for a, b in ((t, np.full(3, 1e-9)), (np.full(3, 1e-9), t)):
+            with pytest.raises(ValueError, match="^add: operands mix "
+                               "(float32 and float64|float64 and float32)$"):
+                T.add(a, b)
+        assert T.add(t, 1e-9).dtype == np.float32
 
 
 class TestResampling:
