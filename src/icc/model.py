@@ -804,7 +804,10 @@ class ForwardResult:
     def backward(self, seed: np.ndarray) -> dict[str, np.ndarray]:
         """Reverse sweep from the output; returns the parameter gradient map.
 
-        Parameters the output does not depend on report zero gradients.
+        Parameters the output does not depend on report zero gradients. The
+        sweep consumes the graph: it frees every intermediate gradient and
+        every activation not held by ``output`` or a tap, and the parameter
+        tensors keep their gradients. A second call raises RuntimeError.
         """
         if not self.output.requires_grad:
             raise RuntimeError("backward() needs a forward run with requires_grad=True")

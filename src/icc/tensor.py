@@ -26,7 +26,13 @@ sample), and conv2d adds its bias to each band of output rows and scans it
 right after the band's GEMM, so that each pass finds its block still in cache.
 
 An op records its backward exactly when one of its operands requires grad.
-Each op has one forward, which runs whether or not it records. relu,
+Each op has one forward, which runs whether or not it records. The reverse
+sweep consumes the graph it runs: once a node's backward has run, the node
+drops its gradient, its backward and its parents, so reference counting
+frees each intermediate gradient and activation as the sweep passes it. No
+op's backward holds its own output Tensor. Leaves (parameters and any tensor
+without a backward) keep their gradients, and a second sweep through a spent
+node is a RuntimeError. relu,
 sigmoid, the arithmetic ops, batch norm, max pooling, resizing and channel
 concat take a numpy-style ``out=`` to write their output into; they refuse
 it when an operand requires grad, since a recorded backward reads its
@@ -144,10 +150,13 @@ class Tensor:
     # -- reverse sweep ------------------------------------------------------
 
     def backward(self, seed: np.ndarray | None = None) -> None:
-        """Run reverse-mode accumulation from this tensor.
+        """Run reverse-mode accumulation from this tensor, consuming its graph.
 
         ``seed`` is the upstream gradient; it defaults to 1 and is only
-        optional when the tensor is scalar.
+        optional when the tensor is scalar. Each node with a backward drops
+        its gradient, backward and parents once its backward has run, so the
+        sweep frees the graph as it goes; leaves keep their ``grad``. A second
+        sweep through any node of a swept graph raises RuntimeError.
         """
         if seed is None:
             if self.data.size != 1:
@@ -175,9 +184,19 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         _accumulate(self, seed)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _spent, ()
+
+
+def _spent(g: np.ndarray) -> None:
+    """The backward a swept node keeps: its graph is gone."""
+    raise RuntimeError("backward through a graph whose backward has already run; "
+                       "run its forward again")
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -209,10 +228,12 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _operands(a, b) -> tuple[Tensor, Tensor]:
+def _operands(op: str, a, b) -> tuple[Tensor, Tensor]:
     """Both operands as Tensors; a Python number takes the other's dtype, and
-    an array keeps its own."""
+    an array keeps its own. Two numbers have no dtype: ValueError naming ``op``."""
     if type(a) in (int, float):
+        if type(b) in (int, float):
+            raise ValueError(f"{op}: two Python numbers have no dtype; pass a Tensor or an array")
         a = Tensor(np.asarray(a, dtype=b.dtype))
     if type(b) in (int, float):
         b = Tensor(np.asarray(b, dtype=a.dtype))
@@ -263,7 +284,7 @@ def _binary(op: str, a, b, forward, grads, out) -> Tensor:
     """``forward(a, b)`` on the operands' data, into ``out`` when given.
     ``grads(g, a, b)`` returns each operand's gradient at the broadcast shape;
     it is summed down to the operand's."""
-    a, b = _operands(a, b)
+    a, b = _operands(op, a, b)
     dtype = _one_dtype(op, a, b)
     if out is not None:
         out = _target(op, out, (a, b), np.broadcast_shapes(a.shape, b.shape), dtype)

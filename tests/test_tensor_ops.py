@@ -352,6 +352,11 @@ class TestScalarOperands:
                 T.add(a, b)
         assert T.add(t, 1e-9).dtype == np.float32
 
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_two_numbers_name_the_op(self, op):
+        with pytest.raises(ValueError, match=f"^{op}: two Python numbers have no dtype"):
+            getattr(T, op)(1.0, 2)
+
 
 class TestResampling:
     def test_factor_one_identity(self):
