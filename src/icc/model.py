@@ -517,7 +517,8 @@ class Kind:
     params: Callable = lambda l: []  # layer -> list[ParamSpec]
     optional: dict[str, type] = field(default_factory=dict)
     into: bool = False  # run writes into an ``out`` buffer it is given
-    in_place: bool = False  # that buffer may be its first input's own
+    in_place: bool = False  # that buffer may be one of its inputs' own
+    saves: tuple[str, ...] = ()  # what its backward reads: "inputs", "output"
 
 
 def count_conv(
@@ -673,18 +674,22 @@ def _op(name: str):
 _STRIDE_PAD = dict(stride_h=int, stride_w=int, pad_h=int, pad_w=int)
 _POOL = dict(window_h=int, window_w=int, **_STRIDE_PAD)
 
-# name: Kind(attrs, arity, shape, cost, run[, params][, optional][, into][, in_place])
+# name: Kind(attrs, arity, shape, cost, run[, params][, optional][, into][, in_place][, saves])
 _INTO = dict(into=True)
 _IN_PLACE = dict(into=True, in_place=True)
+_INPUTS, _OUTPUT = ("inputs",), ("output",)
 KINDS: dict[str, Kind] = {
     "input": Kind({"channels": int}, 0, _channels_shape, _per_element(0, 0), _input_run),
     "conv": Kind(dict(cin=int, cout=int, kh=int, kw=int, **_STRIDE_PAD), 1, _conv_shape,
-                 _conv_cost, _conv_run, _conv_params, optional={"bias": bool}),
+                 _conv_cost, _conv_run, _conv_params, optional={"bias": bool}, saves=_INPUTS),
     "batchnorm": Kind({"channels": int}, 1, _channels_shape, _per_element(1, 1), _batchnorm_run,
-                      _batchnorm_params, **_IN_PLACE),
-    "relu": Kind({}, 1, _same_shape, _per_element(0, 1), _op("relu"), **_IN_PLACE),
-    "sigmoid": Kind({}, 1, _same_shape, _per_element(0, 1), _op("sigmoid"), **_IN_PLACE),
-    "maxpool": Kind(_POOL, 1, _pool_shape(True), _pool_cost, _pool_run("maxpool2d"), **_INTO),
+                      _batchnorm_params, **_IN_PLACE, saves=_INPUTS),
+    "relu": Kind({}, 1, _same_shape, _per_element(0, 1), _op("relu"), **_IN_PLACE,
+                 saves=_OUTPUT),
+    "sigmoid": Kind({}, 1, _same_shape, _per_element(0, 1), _op("sigmoid"), **_IN_PLACE,
+                    saves=_OUTPUT),
+    "maxpool": Kind(_POOL, 1, _pool_shape(True), _pool_cost, _pool_run("maxpool2d"), **_INTO,
+                    saves=_INPUTS + _OUTPUT),
     "avgpool": Kind(_POOL, 1, _pool_shape(False), _pool_cost, _pool_run("avgpool2d")),
     "adaptive_avgpool": Kind(
         {"out_h": int, "out_w": int}, 1, _adaptive_shape, _adaptive_cost,
@@ -699,8 +704,8 @@ KINDS: dict[str, Kind] = {
                         lambda l, ins, p, mode, out: T.channel_sum(ins[0])),
     "add": Kind({}, 2, _same_shape, _per_element(0, 1), _op("add"), **_IN_PLACE),
     "sub": Kind({}, 2, _same_shape, _per_element(0, 1), _op("sub"), **_IN_PLACE),
-    "mul": Kind({}, 2, _same_shape, _per_element(1, 0), _op("mul"), **_IN_PLACE),
-    "div": Kind({}, 2, _same_shape, _per_element(1, 0), _op("div"), **_IN_PLACE),
+    "mul": Kind({}, 2, _same_shape, _per_element(1, 0), _op("mul"), **_IN_PLACE, saves=_INPUTS),
+    "div": Kind({}, 2, _same_shape, _per_element(1, 0), _op("div"), **_IN_PLACE, saves=_INPUTS),
     "scalar_add": Kind({"value": float}, 1, _same_shape, _per_element(0, 1),
                        lambda l, ins, p, mode, out: T.add(ins[0], float(l.attrs["value"]), out=out),
                        **_IN_PLACE),
@@ -731,7 +736,7 @@ def infer_shapes(graph: GraphDescription, shape: tuple[int, int, int]) -> dict[s
 
 
 class _BufferPlan:
-    """Where each layer of a forward that records nothing writes its output.
+    """Where each layer of a forward writes its output.
 
     Made from the graph and ``infer_shapes`` before the layer loop:
     - placement: a layer whose kind writes into a given buffer, and which a
@@ -743,31 +748,45 @@ class _BufferPlan:
       last reader it is, which it reads once, and which is neither the graph
       input, a tap, placed, nor a concat holding placed inputs (their slices
       of its buffer may still be read).
+    With ``grad`` the forward records, and a backward may read a layer's
+    data again: only a kind whose backward reads none of its inputs takes a
+    donation, and only from a layer whose output no backward reads (see
+    ``Kind.saves``). Placement writes a fresh buffer and needs no such rule,
+    but it leaves taps out: a tap outlives the sweep, and as a view it would
+    keep its concat's whole buffer alive after the backward.
     A concat's buffer is made when its first placed input runs and dropped
     from the plan when the concat takes it. The plan holds no reference
     cycle, which would keep its buffers until the cyclic GC ran.
     """
 
     def __init__(self, graph: GraphDescription, shapes: dict[str, tuple], n: int, dtype,
-                 last_reader: dict[str, int], keep: set[str]):
+                 last_reader: dict[str, int], keep: set[str], grad: bool = False):
         kind = {l.name: KINDS[l.kind] for l in graph.layers}
+        read_back: set[str] = set()  # layers whose output a recorded backward reads
+        if grad:
+            for l in graph.layers:
+                if "inputs" in kind[l.name].saves:
+                    read_back.update(l.reads())
+                if "output" in kind[l.name].saves:
+                    read_back.add(l.name)
         self.placed: dict[str, tuple[str, int]] = {}  # layer -> (concat, first channel)
         for l in graph.layers:
             if l.kind == "concat":
                 c = 0
                 for src in l.inputs:
-                    if kind[src].into and l.inputs.count(src) == 1:
+                    if kind[src].into and l.inputs.count(src) == 1 and not (grad and src in keep):
                         self.placed.setdefault(src, (l.name, c))
                     c += shapes[src][0]
         hosts = {concat for concat, _ in self.placed.values()}
         self.donor: dict[str, str] = {}  # layer -> the input it writes over
         for i, l in enumerate(graph.layers):
-            if not kind[l.name].in_place or l.name in self.placed:
+            k = kind[l.name]
+            if not k.in_place or l.name in self.placed or grad and "inputs" in k.saves:
                 continue
             reads = l.reads()
             dying = [src for src in reads if last_reader[src] == i and reads.count(src) == 1
                      and src not in self.placed and src not in hosts and src not in keep
-                     and kind[src].arity != 0]
+                     and src not in read_back and kind[src].arity != 0]
             if dying:
                 self.donor[l.name] = dying[0]
         self.shapes, self.n, self.dtype = shapes, n, dtype
@@ -830,15 +849,18 @@ def forward(
     ``mode`` selects batch-norm behaviour (train updates running statistics
     in place). With ``requires_grad`` the parameters require grad, so every
     op that reads one records its backward and the result supports
-    ``backward``; without it no op records anything, and a ``_BufferPlan``
-    made before the layer loop writes concat inputs into their channel
-    slices and lets elementwise and batch-norm layers write over a dead
-    input, with the same values: a tap may then be a view into a larger
-    concat buffer, which it keeps alive. An intermediate is kept only when a
-    tap names its layer. ``params`` must match the graph (DataError
-    otherwise), and ``x`` is cast to their dtype and never written. A
-    NumericError or ValueError (ShapeError, DataError) raised by a layer is
-    raised again as its own type, prefixed with the layer's name.
+    ``backward``; without it no op records anything. Either way a
+    ``_BufferPlan`` made before the layer loop writes concat inputs into
+    their channel slices and lets elementwise and batch-norm layers write
+    over a dead input, with the same values. When the forward records, no
+    layer writes over data a backward reads (relu writes over its batch
+    norm, never batch norm over its conv) and no tap is placed; without grad
+    a tap may be a view into a larger concat buffer, which it keeps alive.
+    An intermediate is kept only when a tap names its layer. ``params`` must
+    match the graph (DataError otherwise), and ``x`` is cast to their dtype
+    and never written. A NumericError or ValueError (ShapeError, DataError)
+    raised by a layer is raised again as its own type, prefixed with the
+    layer's name.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -854,16 +876,14 @@ def forward(
 
     keep = set(graph.taps.values())
     last_reader = {src: i for i, l in enumerate(graph.layers) for src in l.reads()}
-    plan = None
-    if not requires_grad:
-        plan = _BufferPlan(graph, infer_shapes(graph, x.shape[1:]), x.shape[0], x.dtype,
-                           last_reader, keep)
+    plan = _BufferPlan(graph, infer_shapes(graph, x.shape[1:]), x.shape[0], x.dtype,
+                       last_reader, keep, requires_grad)
     values: dict[str, T.Tensor] = {}
     taps: dict[str, T.Tensor] = {}
     for i, l in enumerate(graph.layers):
         ins = [values[s] for s in l.reads()] if l.inputs else [x]
         try:
-            out = KINDS[l.kind].run(l, ins, p, mode, plan.out(l, values) if plan else None)
+            out = KINDS[l.kind].run(l, ins, p, mode, plan.out(l, values))
         except (NumericError, ValueError) as e:
             raise type(e)(f"{l.name}: {e}") from e
         values[l.name] = out

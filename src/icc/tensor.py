@@ -32,26 +32,36 @@ drops its gradient, its backward and its parents, so reference counting
 frees each intermediate gradient and activation as the sweep passes it. No
 op's backward holds its own output Tensor. Leaves (parameters and any tensor
 without a backward) keep their gradients, and a second sweep through a spent
-node is a RuntimeError. relu,
-sigmoid, the arithmetic ops, batch norm, max pooling, resizing and channel
-concat take a numpy-style ``out=`` to write their output into; they refuse
-it when an operand requires grad, since a recorded backward reads its
-operands and output again. Conv and max pooling have one window walk,
-``_clipped``: per window offset, the strided view of the unpadded input's
-in-bounds cells and the outputs that read them; no padded copy is made.
-conv2d copies these views into a fixed-size column buffer one band of
-output rows at a time, the pad cells reading as zeros, and multiplies each
-band straight into its slice of the output (an unpadded 1x1 stride-1 conv
-reads each sample as its columns). Its weight gradient refills the same
-bands, and its input gradient runs the same band loop as a forward conv of
-``g`` (spread by the stride, if any) with the flipped, channel-swapped
-kernel under pads ``k-1-p``. Max pooling reduces the views one axis at a
-time, and its backward adds into them at each window's first maximum.
-Conv and pooling share one window rule, ``window_out``, which shape
-inference in ``icc.model`` uses too. Average and adaptive average pooling
-and bilinear and nearest resizing are separable linear maps, Rh·x·Rwᵀ,
-with the adjoint Rhᵀ·g·Rw as backward; all but bilinear resizing take
-their weights from one box rule.
+node is a RuntimeError.
+
+relu, sigmoid, the arithmetic ops, batch norm, max pooling, resizing and
+channel concat take a numpy-style ``out=`` to write their output into, also
+when they record. An op that records marks each operand whose data its
+backward reads, and its output if that backward reads it, as ``_saved``:
+conv and batch norm their input, max pooling its input and output, mul and
+div both operands, relu and sigmoid their output (relu's mask, ``out > 0``,
+is ``x > 0`` for finite ``x``). ``out`` may share no memory with an operand
+that is ``_saved``, nor, when the op records, with an operand its own
+backward reads (ValueError naming the op). So relu may write over its batch
+norm, and add over a dying sum, but batch norm never over its conv and no
+op over a sigmoid or max-pooling output; a concat checks only the channel
+slices it copies into.
+
+Conv and max pooling have one window walk, ``_clipped``: per window offset,
+the strided view of the unpadded input's in-bounds cells and the outputs
+that read them; no padded copy is made. conv2d copies these views into a
+fixed-size column buffer one band of output rows at a time, the pad cells
+reading as zeros, and multiplies each band straight into its slice of the
+output (an unpadded 1x1 stride-1 conv reads each sample as its columns).
+Its weight gradient refills the same bands, and its input gradient runs the
+same band loop as a forward conv of ``g`` (spread by the stride, if any)
+with the flipped, channel-swapped kernel under pads ``k-1-p``. Max pooling
+reduces the views one axis at a time, and its backward adds into them at
+each window's first maximum. Conv and pooling share one window rule,
+``window_out``, which shape inference in ``icc.model`` uses too. Average
+and adaptive average pooling and bilinear and nearest resizing are
+separable linear maps, Rh·x·Rwᵀ, with the adjoint Rhᵀ·g·Rw as backward; all
+but bilinear resizing take their weights from one box rule.
 """
 
 from __future__ import annotations
@@ -116,7 +126,8 @@ def _blocks(shape: tuple[int, ...], itemsize: int) -> list[tuple[slice, slice]]:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_verified")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_verified",
+                 "_saved")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -128,6 +139,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
         self._verified = False  # data known finite; only _make sets it
+        self._saved = False  # data a recorded backward reads; only _make sets it
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -210,9 +222,12 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _make(data: np.ndarray, parents: tuple, backward, op: str, checked: bool = False) -> Tensor:
+def _make(data: np.ndarray, parents: tuple, backward, op: str, checked: bool = False,
+          saves: tuple = (), saves_out: bool = False) -> Tensor:
     """``op``'s output Tensor, verified: scanned here unless ``checked``, which
-    says the op scanned ``data`` itself or its verified operands prove it finite."""
+    says the op scanned ``data`` itself or its verified operands prove it finite.
+    When it records ``backward``, it marks ``saves``, the operands whose data
+    that backward reads, and with ``saves_out`` the output, as ``_saved``."""
     if not checked:
         _check_finite(data, op)
     out = Tensor(data)
@@ -221,6 +236,9 @@ def _make(data: np.ndarray, parents: tuple, backward, op: str, checked: bool = F
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
+        out._saved = saves_out
+        for t in saves:
+            t._saved = True
     return out
 
 
@@ -231,13 +249,14 @@ def _coerce(x) -> Tensor:
 def _operands(op: str, a, b) -> tuple[Tensor, Tensor]:
     """Both operands as Tensors; a Python number takes the other's dtype, and
     an array keeps its own. Two numbers have no dtype: ValueError naming ``op``."""
-    if type(a) in (int, float):
-        if type(b) in (int, float):
-            raise ValueError(f"{op}: two Python numbers have no dtype; pass a Tensor or an array")
-        a = Tensor(np.asarray(a, dtype=b.dtype))
-    if type(b) in (int, float):
-        b = Tensor(np.asarray(b, dtype=a.dtype))
-    return _coerce(a), _coerce(b)
+    a_number, b_number = type(a) in (int, float), type(b) in (int, float)
+    if a_number and b_number:
+        raise ValueError(f"{op}: two Python numbers have no dtype; pass a Tensor or an array")
+    if a_number:
+        b = _coerce(b)
+        return Tensor(np.asarray(a, dtype=b.dtype)), b
+    a = _coerce(a)
+    return a, Tensor(np.asarray(b, dtype=a.dtype)) if b_number else _coerce(b)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -262,32 +281,41 @@ def _one_dtype(op: str, *operands: Tensor):
     return dtype
 
 
-def _target(op: str, out, operands, shape, dtype):
-    """``out``, checked to take ``op``'s output of ``shape`` and ``dtype``.
-
-    ``out`` may be an operand's own buffer, which a recorded backward would
-    read again, so it is refused when an operand requires grad.
-    """
+def _target(op: str, out, operands, shape, dtype, saves=()):
+    """``out``, checked to take ``op``'s output of ``shape`` and ``dtype`` and
+    to overwrite no data a recorded backward reads (``_unread``)."""
     if out is None:
         return None
-    if any(t.requires_grad for t in operands):
-        raise ValueError(f"{op}: out= is refused when an operand requires grad")
     if out.shape != tuple(shape) or out.dtype != dtype:
         raise ValueError(f"{op}: out is {out.dtype} {out.shape}, not {np.dtype(dtype)} {tuple(shape)}")
+    _unread(op, out, operands, saves)
     return out
+
+
+def _unread(op: str, out: np.ndarray, operands, saves=()) -> None:
+    """ValueError naming ``op`` if ``out`` shares memory with an operand that
+    is ``_saved`` or, when ``op`` records, with one of ``saves``, the operands
+    its own backward will read."""
+    recording = any(t.requires_grad for t in operands)
+    for t in operands:
+        read = t._saved or (recording and t in saves)
+        if read and np.shares_memory(out, t.data):
+            raise ValueError(f"{op}: out shares memory with data a recorded backward reads")
 
 
 # -- elementwise ------------------------------------------------------------
 
 
-def _binary(op: str, a, b, forward, grads, out) -> Tensor:
+def _binary(op: str, a, b, forward, grads, out, reads: bool = False) -> Tensor:
     """``forward(a, b)`` on the operands' data, into ``out`` when given.
     ``grads(g, a, b)`` returns each operand's gradient at the broadcast shape;
-    it is summed down to the operand's."""
+    it is summed down to the operand's. ``reads`` says that the backward
+    reads the operands' data."""
     a, b = _operands(op, a, b)
     dtype = _one_dtype(op, a, b)
+    saves = (a, b) if reads else ()
     if out is not None:
-        out = _target(op, out, (a, b), np.broadcast_shapes(a.shape, b.shape), dtype)
+        out = _target(op, out, (a, b), np.broadcast_shapes(a.shape, b.shape), dtype, saves)
 
     def backward(g):
         ga, gb = grads(g, a.data, b.data)
@@ -297,7 +325,7 @@ def _binary(op: str, a, b, forward, grads, out) -> Tensor:
     # a non-finite result is _make's NumericError, not a numpy warning first
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = forward(a.data, b.data, out=out)
-    return _make(out, (a, b), backward, op)
+    return _make(out, (a, b), backward, op, saves=saves)
 
 
 def add(a, b, out=None) -> Tensor:
@@ -309,11 +337,12 @@ def sub(a, b, out=None) -> Tensor:
 
 
 def mul(a, b, out=None) -> Tensor:
-    return _binary("mul", a, b, np.multiply, lambda g, x, y: (g * y, g * x), out)
+    return _binary("mul", a, b, np.multiply, lambda g, x, y: (g * y, g * x), out, True)
 
 
 def div(a, b, out=None) -> Tensor:
-    return _binary("div", a, b, np.divide, lambda g, x, y: (g / y, -g * x / (y * y)), out)
+    return _binary("div", a, b, np.divide, lambda g, x, y: (g / y, -g * x / (y * y)), out,
+                   True)
 
 
 def tensor_sum(x: Tensor) -> Tensor:
@@ -331,9 +360,9 @@ def relu(x: Tensor, out=None) -> Tensor:
     out_data = np.maximum(x.data, 0, out=_target("relu", out, (x,), x.shape, x.dtype))
 
     def backward(g):
-        _accumulate(x, g * (x.data > 0))
+        _accumulate(x, g * (out_data > 0))
 
-    return _make(out_data, (x,), backward, "relu", checked=x._verified)
+    return _make(out_data, (x,), backward, "relu", checked=x._verified, saves_out=True)
 
 
 def sigmoid(x: Tensor, out=None) -> Tensor:
@@ -343,7 +372,7 @@ def sigmoid(x: Tensor, out=None) -> Tensor:
     def backward(g):
         _accumulate(x, g * out_data * (1.0 - out_data))
 
-    return _make(out_data, (x,), backward, "sigmoid", checked=x._verified)
+    return _make(out_data, (x,), backward, "sigmoid", checked=x._verified, saves_out=True)
 
 
 # -- window geometry --------------------------------------------------------
@@ -508,7 +537,7 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
             gx = _correlate(g, wflip, kh, kw, 1, 1, kh - 1 - ph, kw - 1 - pw, h, w)
             _accumulate(x, gx.reshape(n, cin, h, w))
 
-    return _make(out_data, parents, backward, "conv2d", checked=True)
+    return _make(out_data, parents, backward, "conv2d", checked=True, saves=(x,))
 
 
 def separable_conv2d(x, kernel_v, kernel_h, stride=1, padding=(0, 0), bias=None) -> Tensor:
@@ -556,7 +585,7 @@ def maxpool2d(x, window, stride=None, padding=0, out=None) -> Tensor:
     x = _coerce(x)
     stride = window if stride is None else stride
     wh, ww, sh, sw, ph, pw, ho, wo = _window("maxpool2d", x, window, stride, padding, max_pool=True)
-    out_data = _target("maxpool2d", out, (x,), x.shape[:2] + (ho, wo), x.dtype)
+    out_data = _target("maxpool2d", out, (x,), x.shape[:2] + (ho, wo), x.dtype, (x,))
     if out_data is None:
         out_data = np.empty(x.shape[:2] + (ho, wo), x.dtype)
     # Each window's maximum as a wh x 1 window's, then a 1 x ww window's,
@@ -583,7 +612,8 @@ def maxpool2d(x, window, stride=None, padding=0, out=None) -> Tensor:
             gx[..., ri, ci] += g[..., ro, co] * first
         _accumulate(x, gx)
 
-    return _make(out_data, (x,), backward, "maxpool2d", checked=x._verified)
+    return _make(out_data, (x,), backward, "maxpool2d", checked=x._verified, saves=(x,),
+                 saves_out=True)
 
 
 # -- batch normalization ----------------------------------------------------
@@ -617,7 +647,7 @@ def batchnorm2d(
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm2d: mode must be 'train' or 'eval', got {mode!r}")
     dtype = _one_dtype("batchnorm2d", x, gamma, beta)
-    out = _target("batchnorm2d", out, (x, gamma, beta), x.shape, dtype)
+    out = _target("batchnorm2d", out, (x, gamma, beta), x.shape, dtype, (x,))
 
     # a non-finite input is the scan's NumericError, not a numpy warning first
     with np.errstate(invalid="ignore", over="ignore"):
@@ -640,7 +670,8 @@ def batchnorm2d(
         scale, shift = gamma.data.reshape(1, c, 1, 1), beta.data.reshape(1, c, 1, 1)
         out_data = np.empty(x.shape, dtype) if out is None else out
         # Block by block, so that each pass and the scan find the block in cache.
-        # ``out`` may be x's own buffer: the statistics are taken by now.
+        # ``out`` may be x's own buffer when nothing records: the statistics
+        # are taken by now.
         for samples, chans in _blocks(x.shape, x.data.itemsize):
             block, per_channel = out_data[samples, chans], (slice(None), chans)
             np.subtract(x.data[samples, chans], m[per_channel], out=block)
@@ -667,7 +698,7 @@ def batchnorm2d(
         mean_gx = (gscaled * xhat).mean(axis=(0, 2, 3), keepdims=True)
         _accumulate(x, inv * (gscaled - mean_g - xhat * mean_gx))
 
-    return _make(out_data, (x, gamma, beta), backward, "batchnorm2d", checked=True)
+    return _make(out_data, (x, gamma, beta), backward, "batchnorm2d", checked=True, saves=(x,))
 
 
 # -- resampling -------------------------------------------------------------
@@ -809,13 +840,17 @@ def concat_channels(inputs, out=None) -> Tensor:
                 )
     shape = (first.shape[0], sum(t.shape[1] for t in inputs)) + first.shape[2:]
     dtype = _one_dtype("concat_channels", *inputs)
-    out_data = _target("concat_channels", out, inputs, shape, dtype)
+    out_data = _target("concat_channels", out, (), shape, dtype)
     if out_data is None:
         out_data = np.empty(shape, dtype)
     splits = np.cumsum([t.shape[1] for t in inputs])[:-1]
-    for t, part in zip(inputs, np.split(out_data, splits, axis=1)):
-        if part.__array_interface__ != t.data.__array_interface__:
-            part[...] = t.data
+    copies = [(t, part) for t, part in zip(inputs, np.split(out_data, splits, axis=1))
+              if part.__array_interface__ != t.data.__array_interface__]
+    if out is not None:  # only the parts it writes must hold no data a backward reads
+        for _, part in copies:
+            _unread("concat_channels", part, inputs)
+    for t, part in copies:
+        part[...] = t.data
 
     def backward(g):
         for t, gpart in zip(inputs, np.split(g, splits, axis=1)):

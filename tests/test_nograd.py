@@ -17,12 +17,18 @@ the BLAS may block a narrower GEMM differently, so these comparisons use the
 float32 and float64 tolerances fixed for inference (1e-5 and 1e-12 of the
 largest magnitude).
 
-A model forward that records nothing plans its buffers: a layer that a
-concat reads once writes into its channel slice of the concat's output, and
-an elementwise or batch-norm layer writes over a dead input. Its output and
-taps are held to the recorded forward bit for bit, and its taps Feature1 and
-Feature2 to views of one buffer. An op's ``out=`` is refused when an operand
-requires grad.
+A model forward plans its buffers: a layer that a concat reads once writes
+into its channel slice of the concat's output, and an elementwise or
+batch-norm layer writes over a dead input. Without grad its output and taps
+are held to the recorded forward bit for bit, and its taps Feature1 and
+Feature2 to views of one buffer. The recorded forward plans too, under one
+rule: no op writes over data that a recorded backward reads. Its output,
+taps, running statistics and parameter gradients are held bit for bit to
+the same forward with the plan switched off, and its memory held after the
+forward to at most 0.8x of that forward's. An op's ``out=`` is accepted
+under grad, with the values and gradients of a fresh output, unless it
+shares memory with an operand that a recorded backward reads: each in-place
+layer kind accepts or refuses its own operand as ``KINDS`` states.
 
 An op's output is checked for NaN and Inf unless its operands prove it
 finite: relu, sigmoid, max pooling and channel concat skip the check when
@@ -215,6 +221,18 @@ def test_mixed_dtypes_are_refused():
     for data in (np.arange(3), np.ones(3, np.float16), np.ones(3, bool), [1, 2]):
         with pytest.raises(ValueError, match="^Tensor data must be float32 or float64, not "):
             T.Tensor(data)
+
+
+ARITHMETIC = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
+
+
+@pytest.mark.parametrize("op", sorted(ARITHMETIC))
+def test_a_number_beside_a_list(op):
+    # the list becomes a Tensor before the number reads its dtype
+    for a, b in ((1.5, [1.0, 2.0]), ([1.0, 2.0], 3)):
+        out = getattr(T, op)(a, b)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out.data, ARITHMETIC[op](a, np.asarray(b, float)))
 
 
 POOL_CASES = [
@@ -652,6 +670,67 @@ class TestBufferPlan:
         assert plan.donor == {"a.bn": "a.conv", "e": "c2", "f0": "e", "z2": "z", "k3": "k2",
                               "k4": "k3"}
 
+    def test_recorded_hand_written_plan(self):
+        # under grad a.bn keeps its conv and f0, z2, k3 and k4 read or write
+        # data a backward reads; the taps ga and top are not placed
+        graph = M.GraphDescription.from_text(HAND_GRAPH)
+        shapes = M.infer_shapes(graph, (3, 10, 14))
+        last_reader = {src: i for i, l in enumerate(graph.layers) for src in l.reads()}
+        plan = M._BufferPlan(graph, shapes, 2, np.float32, last_reader, set(graph.taps.values()),
+                             grad=True)
+        assert plan.placed == {"p": ("c1", 0), "a.relu": ("c1", 4), "c1": ("top", 0),
+                               "up": ("top", 11), "f": ("top", 23), "z3": ("top", 35),
+                               "gb": ("gc", 3), "ge": ("top", 39)}
+        assert plan.donor == {"e": "c2"}
+
+    def test_recorded_icc_plan_writes_over_no_data_a_backward_reads(self):
+        graph = M.build_icc(M.ModelConfig(width_scale=0.25))
+        shapes = M.infer_shapes(graph, (3, 64, 64))
+        last_reader = {src: i for i, l in enumerate(graph.layers) for src in l.reads()}
+        keep = set(graph.taps.values())
+        plan = M._BufferPlan(graph, shapes, 1, np.float32, last_reader, keep, grad=True)
+        unrecorded = M._BufferPlan(graph, shapes, 1, np.float32, last_reader, keep)
+        assert plan.placed == {k: v for k, v in unrecorded.placed.items() if k not in keep}
+        kind = {l.name: l.kind for l in graph.layers}
+        assert {kind[l] for l in plan.donor} == {"relu", "sigmoid", "add", "scalar_add"}
+        # relu writes over its batch norm, or the decoder's conv, and never
+        # batch norm over its conv; the gate sum starts from two sigmoid
+        # outputs, which the gates' backward reads, so only its later adds
+        # write over the sum so far
+        assert plan.donor["stem.conv1.relu"] == "stem.conv1.bn"
+        assert plan.donor["decoder.relu1"] == "decoder.conv1"
+        assert plan.donor["context.s1.sigmoid"] == "context.s1.gate"
+        assert plan.donor["context.den_2"] == "context.den_1"
+        assert "context.den_1" not in plan.donor
+        assert not any(kind[l] == "batchnorm" for l in plan.donor)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("ablation", [{}, {"use_contextual_module": False},
+                                          {"use_inception_blocks": False}],
+                             ids=["full", "no-context", "no-inception"])
+    def test_recorded_forward_matches_it_without_the_plan(self, ablation, dtype, monkeypatch):
+        graph = M.build_icc(M.ModelConfig(width_scale=0.25, **ablation))
+        x = np.random.default_rng(14).uniform(0, 1, (2, 3, 64, 96)).astype(dtype)
+        seed = np.random.default_rng(15).uniform(-1, 1, (2, 1, 8, 12)).astype(dtype)
+
+        def step():
+            """The parameters after a train-mode step (running statistics
+            updated), the taps and the parameter gradients."""
+            params = M.init_parameters(graph, 13, dtype)
+            run = M.forward(graph, params, x, mode="train", requires_grad=True)
+            taps = {tap: t.data.copy() for tap, t in run.taps.items()}
+            return params, taps, run.backward(seed)
+
+        planned = step()
+        monkeypatch.setattr(M._BufferPlan, "out", lambda self, l, values: None)
+        unplanned = step()
+        assert "output" in planned[1]
+        for got, want in zip(planned, unplanned):
+            assert got.keys() == want.keys()
+            for name in want:
+                assert got[name].dtype == want[name].dtype == dtype, name
+                np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
     def test_icc_plan_donates_a_dying_second_operand(self):
         # context.s{s}.gated = mul(gate, up): the gate lives on into the
         # gate sum, and up, read last there, is written over
@@ -723,11 +802,117 @@ class TestOut:
         np.testing.assert_array_equal(into.data, fresh.data)
 
     @pytest.mark.parametrize("op", sorted(OUT_OPS))
-    def test_out_refused_when_an_operand_requires_grad(self, op):
+    def test_out_under_grad_holds_the_fresh_output(self, op):
+        # a fresh buffer or a concat slice: the values and the gradients of
+        # a fresh output
         fn, shape = OUT_OPS[op]
         x, y = _operands(np.random.default_rng(14), np.float32)
-        out = np.empty(shape, np.float32)
-        with pytest.raises(ValueError, match="requires grad"):
-            fn(T.Tensor(x, requires_grad=True), T.Tensor(y), out)
+        g = np.random.default_rng(15).standard_normal(shape).astype(np.float32)
+
+        def run(out):
+            a, b = T.Tensor(x, requires_grad=True), T.Tensor(y, requires_grad=True)
+            res = fn(a, b, out)
+            assert out is None or res.data is out
+            data = res.data.copy()
+            res.backward(g)
+            return data, a.grad, b.grad
+
+        fresh = run(None)
+        buf = np.full((shape[0], shape[1] + 3) + shape[2:], np.nan, np.float32)
+        for out in (np.empty(shape, np.float32), buf[:, 2 : 2 + shape[1]]):
+            for got, want in zip(run(out), fresh):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    np.testing.assert_array_equal(got, want)
         with pytest.raises(ValueError, match="not float32"):
-            fn(T.Tensor(x), T.Tensor(y), out[:, :1])
+            fn(T.Tensor(x, requires_grad=True), T.Tensor(y), np.empty(shape, np.float32)[:, :1])
+
+    READERS = {  # ops whose backward reads their operands' data: (call, operands it reads)
+        "batchnorm2d": (lambda a, b, out: T.batchnorm2d(
+            a, T.Tensor(np.ones(3, np.float32), requires_grad=a.requires_grad),
+            T.Tensor(np.zeros(3, np.float32)), np.zeros(3, np.float32), np.ones(3, np.float32),
+            mode="train", out=out), (0,)),
+        "maxpool2d": (lambda a, b, out: T.maxpool2d(a, 3, 1, 1, out=out), (0,)),
+        "mul": (lambda a, b, out: T.mul(a, b, out=out), (0, 1)),
+        "div": (lambda a, b, out: T.div(a, b, out=out), (0, 1)),
+    }
+
+    @pytest.mark.parametrize("op", sorted(READERS))
+    def test_out_refused_over_an_operand_its_backward_reads(self, op):
+        fn, read = self.READERS[op]
+        x, y = _operands(np.random.default_rng(16), np.float32)
+        for i in read:
+            a, b = (T.Tensor(v.copy(), requires_grad=True) for v in (x, y))
+            target = (a, b)[i].data
+            with pytest.raises(ValueError, match=f"^{op}: out shares memory with data a "
+                               "recorded backward reads$"):
+                fn(a, b, target)
+            np.testing.assert_array_equal(target, (x, y)[i])  # nothing written
+            # when nothing records, the same buffer may be written over
+            a, b = (T.Tensor(v.copy()) for v in (x, y))
+            assert fn(a, b, (a, b)[i].data).data is (a, b)[i].data
+
+    @pytest.mark.parametrize("writer", ["relu", "add"])
+    @pytest.mark.parametrize("producer", ["sigmoid", "maxpool2d"])
+    def test_out_refused_over_a_saved_output(self, producer, writer):
+        x, _ = _operands(np.random.default_rng(17), np.float32)
+        leaf = T.Tensor(x, requires_grad=True)
+        saved = T.sigmoid(leaf) if producer == "sigmoid" else T.maxpool2d(leaf, 3, 1, 1)
+        before = saved.data.copy()
+        with pytest.raises(ValueError, match=f"^{writer}: out shares memory"):
+            if writer == "relu":
+                T.relu(saved, out=saved.data)
+            else:
+                T.add(T.Tensor(np.ones_like(x)), saved, out=saved.data)
+        np.testing.assert_array_equal(saved.data, before)
+
+    def test_relu_writes_over_a_batch_norm_output(self):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((2, 3, 6, 5)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+
+        def step(donate):
+            leaf, gamma, beta = (T.Tensor(v, requires_grad=True) for v in
+                                 (x, np.full(3, 1.5, np.float32), np.full(3, 0.2, np.float32)))
+            bn = T.batchnorm2d(leaf, gamma, beta, np.zeros(3, np.float32),
+                               np.ones(3, np.float32), mode="train")
+            out = T.relu(bn, out=bn.data if donate else None)
+            assert (out.data is bn.data) == donate
+            data = out.data.copy()
+            out.backward(g)
+            return data, leaf.grad, gamma.grad, beta.grad
+
+        for got, want in zip(step(True), step(False)):
+            np.testing.assert_array_equal(got, want)
+
+
+# attributes of the in-place layer kinds that need them
+KIND_ATTRS = {"batchnorm": {"channels": 3}, "scalar_add": {"value": 0.5}}
+
+
+@pytest.mark.parametrize("name", sorted(k for k, kind in M.KINDS.items() if kind.in_place))
+def test_in_place_kinds_under_grad_follow_kinds(name):
+    # Under grad a layer may take its own operand as ``out`` unless KINDS
+    # says its backward reads its inputs, and a layer's output may be
+    # written over unless KINDS says its backward reads it.
+    kind = M.KINDS[name]
+    layer = M.Layer("l", name, ("a", "b")[: kind.arity], KIND_ATTRS.get(name, {}))
+    params = {"l.gamma": T.Tensor(np.ones(3), requires_grad=True),
+              "l.beta": T.Tensor(np.zeros(3), requires_grad=True),
+              "l.running_mean": np.zeros(3), "l.running_var": np.ones(3)}
+    rng = np.random.default_rng(19)
+    for i in range(kind.arity):
+        ins = [T.Tensor(0.5 + rng.random((2, 3, 4, 5)), requires_grad=True)
+               for _ in range(kind.arity)]
+        if "inputs" in kind.saves:
+            with pytest.raises(ValueError, match="out shares memory"):
+                kind.run(layer, ins, params, "train", ins[i].data)
+        else:
+            assert kind.run(layer, ins, params, "train", ins[i].data).data is ins[i].data
+    out = kind.run(layer, [T.Tensor(0.5 + rng.random((2, 3, 4, 5)), requires_grad=True)
+                           for _ in range(kind.arity)], params, "train", None)
+    if "output" in kind.saves:
+        with pytest.raises(ValueError, match="out shares memory"):
+            T.add(out, 1.0, out=out.data)
+    else:
+        assert T.add(out, 1.0, out=out.data).data is out.data
