@@ -24,6 +24,8 @@ axis passes of max pooling run block by block over about ``_BLOCK_BYTES`` of
 the map (``_blocks``: whole samples when one fits, else channel groups of one
 sample), and conv2d adds its bias to each band of output rows and scans it
 right after the band's GEMM, so that each pass finds its block still in cache.
+Batch norm's train-mode backward takes two per-channel sums, Σg and Σg·x̂,
+and then writes x's gradient, in two passes over the same blocks.
 
 An op records its backward exactly when one of its operands requires grad.
 Each op has one forward, which runs whether or not it records. The reverse
@@ -32,7 +34,12 @@ drops its gradient, its backward and its parents, so reference counting
 frees each intermediate gradient and activation as the sweep passes it. No
 op's backward holds its own output Tensor. Leaves (parameters and any tensor
 without a backward) keep their gradients, and a second sweep through a spent
-node is a RuntimeError.
+node is a RuntimeError. A node owns its ``.grad`` exclusively
+(``_accumulate``): an op hands over an array it made fresh for one operand,
+or its own ``g`` once, and that array becomes the operand's gradient with
+no copy; a view or an array going to two operands is copied. So relu and
+sigmoid write their backward product into their own ``g``, where that keeps
+the product's C layout.
 
 relu, sigmoid, the arithmetic ops, batch norm, max pooling, resizing and
 channel concat take a numpy-style ``out=`` to write their output into, also
@@ -54,8 +61,10 @@ fixed-size column buffer one band of output rows at a time, the pad cells
 reading as zeros, and multiplies each band straight into its slice of the
 output (an unpadded 1x1 stride-1 conv reads each sample as its columns).
 Its weight gradient refills the same bands, and its input gradient runs the
-same band loop as a forward conv of ``g`` (spread by the stride, if any)
-with the flipped, channel-swapped kernel under pads ``k-1-p``. Max pooling
+same band loop as forward convs of ``g``, one per stride phase: the input
+rows and columns of one phase take a flipped, channel-swapped sub-kernel
+at stride 1 (``_phases``; a stride-1 conv has one phase, the whole kernel
+under pads ``k-1-p``), and no zeros are spread. Max pooling
 reduces the views one axis at a time, and its backward adds into them at
 each window's first maximum. Conv and pooling share one window rule,
 ``window_out``, which shape inference in ``icc.model`` uses too. Average
@@ -211,15 +220,20 @@ def _spent(g: np.ndarray) -> None:
                        "run its forward again")
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``, which ``t`` owns exclusively: later
+    gradients are added into it in place. With ``owned`` an op hands over an
+    array it made fresh for ``t`` alone (or its own ``g``, once), kept as it
+    is, layout and all; a view, an array going to two operands or one of
+    another dtype is copied first."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        # A copy: ``g`` may be a view of an upstream gradient (``_unbroadcast``
-        # and ``np.split`` return views), and this buffer is added into later.
-        t.grad = np.array(g, dtype=t.data.dtype)
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif owned and g.dtype == t.data.dtype:
+        t.grad = g
+    else:
+        t.grad = np.array(g, dtype=t.data.dtype)
 
 
 def _make(data: np.ndarray, parents: tuple, backward, op: str, checked: bool = False,
@@ -318,9 +332,11 @@ def _binary(op: str, a, b, forward, grads, out, reads: bool = False) -> Tensor:
         out = _target(op, out, (a, b), np.broadcast_shapes(a.shape, b.shape), dtype, saves)
 
     def backward(g):
+        # each is fresh or ``g``, this node's own, which goes to one operand
         ga, gb = grads(g, a.data, b.data)
-        _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, _unbroadcast(gb, b.data.shape))
+        ga, gb = _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        _accumulate(a, ga, owned=True)
+        _accumulate(b, gb, owned=gb is not ga)
 
     # a non-finite result is _make's NumericError, not a numpy warning first
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -350,7 +366,7 @@ def tensor_sum(x: Tensor) -> Tensor:
     out_data = np.asarray(x.data.sum(), dtype=x.data.dtype)
 
     def backward(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape).astype(x.data.dtype))
+        _accumulate(x, np.broadcast_to(g, x.data.shape).astype(x.data.dtype), owned=True)
 
     return _make(out_data, (x,), backward, "sum")
 
@@ -360,7 +376,10 @@ def relu(x: Tensor, out=None) -> Tensor:
     out_data = np.maximum(x.data, 0, out=_target("relu", out, (x,), x.shape, x.dtype))
 
     def backward(g):
-        _accumulate(x, g * (out_data > 0))
+        # ``g`` is this node's own, so the product goes into it when that keeps
+        # the product's C layout (channel_sum's gradient is channel-innermost)
+        _accumulate(x, np.multiply(g, out_data > 0, out=g if g.flags.c_contiguous else None),
+                    owned=True)
 
     return _make(out_data, (x,), backward, "relu", checked=x._verified, saves_out=True)
 
@@ -370,7 +389,10 @@ def sigmoid(x: Tensor, out=None) -> Tensor:
     out_data = expit(x.data, out=_target("sigmoid", out, (x,), x.shape, x.dtype))
 
     def backward(g):
-        _accumulate(x, g * out_data * (1.0 - out_data))
+        # into ``g`` when that keeps the C layout, as relu's
+        gx = np.multiply(g, out_data, out=g if g.flags.c_contiguous else None)
+        gx *= 1.0 - out_data
+        _accumulate(x, gx, owned=True)
 
     return _make(out_data, (x,), backward, "sigmoid", checked=x._verified, saves_out=True)
 
@@ -427,6 +449,18 @@ def _clipped(n_in: int, n_out: int, window: int, stride: int, pad: int) -> list:
 
 
 # -- convolution ------------------------------------------------------------
+
+
+def _phases(n_in: int, k: int, stride: int, pad: int):
+    """For each stride phase p of an axis of ``n_in`` inputs read by a
+    ``k``-tap kernel at ``stride`` under ``pad``: (p, i0, taps, p', outputs).
+    The inputs p::stride take the taps i0::stride, and their gradient is the
+    correlation of the output gradient with those taps flipped, at stride 1
+    under pad p' (negative: leading cells skipped), over ``outputs`` cells."""
+    for p in range(min(stride, n_in)):
+        i0 = (p + pad) % stride
+        taps = len(range(i0, k, stride))
+        yield p, i0, taps, taps - 1 - (p + pad) // stride, len(range(p, n_in, stride))
 
 
 def _conv_bands(x: np.ndarray, kh, kw, sh, sw, ph, pw, ho, wo):
@@ -516,7 +550,7 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
 
     def backward(g):
         if b is not None and b.requires_grad:
-            _accumulate(b, g.sum(axis=(0, 2, 3)))
+            _accumulate(b, g.sum(axis=(0, 2, 3)), owned=True)
         if weight.requires_grad:
             # Each band's columns are filled again here rather than kept
             # from the forward pass, so a step does not hold them for long.
@@ -524,18 +558,25 @@ def conv2d(x, weight, stride=1, padding=0, bias=None) -> Tensor:
             gw = np.zeros((cout, cin * kh * kw), g.dtype)
             for s, r0, r, cols in _conv_bands(x.data, *geometry):
                 gw += gmat[s, :, r0 * wo : (r0 + r) * wo] @ cols.T
-            _accumulate(weight, gw.reshape(weight.shape))
+            _accumulate(weight, gw.reshape(weight.shape), owned=True)
         if x.requires_grad:
-            # The transposed conv as a forward one: g, spread by the stride
-            # when there is one, correlated with the flipped kernel under
-            # pads kh-1-ph, kw-1-pw over the input's extents.
-            if (sh, sw) != (1, 1):
-                spread = np.zeros((n, cout, (ho - 1) * sh + 1, (wo - 1) * sw + 1), g.dtype)
-                spread[:, :, ::sh, ::sw] = g
-                g = spread
-            wflip = weight.data[:, :, ::-1, ::-1].swapaxes(0, 1).reshape(cin, -1)
-            gx = _correlate(g, wflip, kh, kw, 1, 1, kh - 1 - ph, kw - 1 - pw, h, w)
-            _accumulate(x, gx.reshape(n, cin, h, w))
+            # The transposed conv as forward ones, one per stride phase (Shi
+            # et al., 2016; see ``_phases``). The kernel, copied once with
+            # its input channels innermost, gives each flipped sub-kernel
+            # as whole rows, which enter the GEMM transposed.
+            wt = np.ascontiguousarray(weight.data.transpose(0, 2, 3, 1))
+            gx = np.zeros((n, cin, h, w), g.dtype) if (sh, sw) != (1, 1) else None
+            for py, i0, ki, pi, hi in _phases(h, kh, sh, ph):
+                for px, j0, kj, pj, wj in _phases(w, kw, sw, pw):
+                    if ki == 0 or kj == 0:
+                        continue  # no tap reaches these inputs
+                    wsub = wt[:, i0::sh, j0::sw][:, ::-1, ::-1].reshape(-1, cin).T
+                    part = _correlate(g, wsub, ki, kj, 1, 1, pi, pj, hi, wj).reshape(n, cin, hi, wj)
+                    if gx is None:
+                        gx = part
+                    else:
+                        gx[:, :, py::sh, px::sw] = part
+            _accumulate(x, gx, owned=True)
 
     return _make(out_data, parents, backward, "conv2d", checked=True, saves=(x,))
 
@@ -610,13 +651,21 @@ def maxpool2d(x, window, stride=None, padding=0, out=None) -> Tensor:
         gx = np.zeros(x.shape, g.dtype)
         for ro, ri, co, ci, first in reversed(firsts):
             gx[..., ri, ci] += g[..., ro, co] * first
-        _accumulate(x, gx)
+        _accumulate(x, gx, owned=True)
 
     return _make(out_data, (x,), backward, "maxpool2d", checked=x._verified, saves=(x,),
                  saves_out=True)
 
 
 # -- batch normalization ----------------------------------------------------
+
+
+def _channel_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Σ a·b per channel of two NCHW blocks, over samples and pixels: a BLAS
+    dot product per sample and channel, summed over the samples in float64."""
+    n, c, h, w = a.shape
+    dots = np.matmul(a.reshape(n * c, 1, h * w), b.reshape(n * c, h * w, 1))
+    return dots.reshape(n, c).sum(axis=0, dtype=np.float64)
 
 
 def batchnorm2d(
@@ -672,7 +721,8 @@ def batchnorm2d(
         # Block by block, so that each pass and the scan find the block in cache.
         # ``out`` may be x's own buffer when nothing records: the statistics
         # are taken by now.
-        for samples, chans in _blocks(x.shape, x.data.itemsize):
+        blocks = _blocks(x.shape, x.data.itemsize)
+        for samples, chans in blocks:
             block, per_channel = out_data[samples, chans], (slice(None), chans)
             np.subtract(x.data[samples, chans], m[per_channel], out=block)
             block *= inv[per_channel]
@@ -681,22 +731,37 @@ def batchnorm2d(
             _check_finite(block, "batchnorm2d")
 
     def backward(g):
-        # the normalized input is recomputed here rather than kept
-        if gamma.requires_grad or (mode == "train" and x.requires_grad):
-            xhat = (x.data - m) * inv
-        if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-        if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=(0, 2, 3)))
-        if not x.requires_grad:
-            return
-        gscaled = g * scale
+        # Two per-channel sums (Ioffe & Szegedy, 2015): Σg, beta's gradient,
+        # and Σg·x̂, gamma's. In train mode x's gradient is
+        # γ·inv·(g − Σg/N − x̂·Σg·x̂/N). Both passes run block by block: the
+        # first recomputes x̂ into x's fresh gradient array and sums g·x̂, the
+        # second turns each block of x̂ into that gradient in place.
+        gsum = g.sum(axis=(0, 2, 3))
+        train_x = mode == "train" and x.requires_grad
+        if gamma.requires_grad or train_x:
+            gx = np.empty(x.shape, dtype)
+            gxhat = np.zeros(c)
+            for samples, chans in blocks:
+                per_channel = (slice(None), chans)
+                xhat = np.subtract(x.data[samples, chans], m[per_channel],
+                                   out=gx[samples, chans])
+                xhat *= inv[per_channel]
+                gxhat[chans] += _channel_dots(g[samples, chans], xhat)
+            if train_x:
+                mean_g = (gsum / count).reshape(m.shape)
+                mean_gxhat = (gxhat / count).astype(dtype).reshape(m.shape)
+                gain = scale * inv
+                for samples, chans in blocks:
+                    block, per_channel = gx[samples, chans], (slice(None), chans)
+                    block *= -mean_gxhat[per_channel]
+                    block += g[samples, chans]
+                    block -= mean_g[per_channel]
+                    block *= gain[per_channel]
+                _accumulate(x, gx, owned=True)
+            _accumulate(gamma, gxhat.astype(dtype), owned=True)
         if mode == "eval":
-            _accumulate(x, gscaled * inv)
-            return
-        mean_g = gscaled.mean(axis=(0, 2, 3), keepdims=True)
-        mean_gx = (gscaled * xhat).mean(axis=(0, 2, 3), keepdims=True)
-        _accumulate(x, inv * (gscaled - mean_g - xhat * mean_gx))
+            _accumulate(x, g * scale * inv, owned=True)
+        _accumulate(beta, gsum, owned=True)
 
     return _make(out_data, (x, gamma, beta), backward, "batchnorm2d", checked=True, saves=(x,))
 
@@ -751,7 +816,7 @@ def _resample(x: Tensor, rh: np.ndarray, rw: np.ndarray, op: str, out=None) -> T
     out = _target(op, out, (x,), x.shape[:2] + (rh.shape[0], rw.shape[0]), x.dtype)
 
     def backward(g):
-        _accumulate(x, _separable(rh.T, rw.T, g))
+        _accumulate(x, _separable(rh.T, rw.T, g), owned=True)
 
     # A non-finite input meets zero weights (inf·0); _make reports it.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -867,6 +932,6 @@ def channel_sum(x) -> Tensor:
     out_data = x.data.sum(axis=1, keepdims=True)
 
     def backward(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape).astype(g.dtype))
+        _accumulate(x, np.broadcast_to(g, x.data.shape).astype(g.dtype), owned=True)
 
     return _make(out_data, (x,), backward, "channel_sum")

@@ -219,6 +219,10 @@ def train(config: TrainConfig) -> TrainResult:
         for step, start in enumerate(range(0, len(order), config.batch_size)):
             idx = order[start : start + config.batch_size]
             samples = [random_crop_padded(normalized[i], hc, wc, rng) for i in idx]
+            # The last step's output and gradients go before this forward,
+            # which reuses their memory; freed right after opt.step, glibc
+            # trimmed them off the heap for the forward to fault back in.
+            run = out = grads = None
             try:
                 batch = np.stack([s.image for s in samples])
                 run = M.forward(graph, params, batch, mode="train", requires_grad=True)

@@ -42,6 +42,36 @@ def conv_geometries(draw):
     return (n, cin, h, w), (cout, cin, kh, kw), (sh, sw), (ph, pw)
 
 
+def strided_geometries():
+    """Every pad 0..k-1 of square kernels 1-7 at strides 2 and 3, over an odd
+    height and an even width."""
+    return [((1, 2, 2 * k + 1, 2 * k + 2), (2, 2, k, k), (s, s), (p, p))
+            for s in (2, 3) for k in range(1, 8) for p in range(k)]
+
+
+def with_examples(geometries):
+    def apply(test):
+        for geometry in geometries:
+            test = example(geometry=geometry)(test)
+        return test
+    return apply
+
+
+def conv_input_grad_scatter(g, w, x_shape, stride, padding):
+    """conv2d's input gradient as a scatter: each output's gradient times each
+    tap, added at the padded input cell that tap read; pad cells dropped."""
+    n, cin, h, wd = x_shape
+    kh, kw = w.shape[2:]
+    (sh, sw), (ph, pw), (ho, wo) = stride, padding, g.shape[2:]
+    gx = np.zeros((n, cin, max(h + 2 * ph, (ho - 1) * sh + kh),
+                   max(wd + 2 * pw, (wo - 1) * sw + kw)))
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, :, i : i + (ho - 1) * sh + 1 : sh, j : j + (wo - 1) * sw + 1 : sw] += np.einsum(
+                "nohw,oc->nchw", g, w[:, :, i, j])
+    return gx[:, :, ph : ph + h, pw : pw + wd]
+
+
 def assert_conv_adjoint(geometry):
     # conv is bilinear, so <conv(x, w), g> = <x, dx> = <w, dw> for the
     # gradients of <conv(x, w), g>, each to rounding of the sum of the
@@ -95,6 +125,23 @@ class TestConvGradients:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(T, "_COL_BUFFER_BYTES", 1)  # every band is one output row
             assert_conv_adjoint(geometry)
+
+    @settings(max_examples=20, deadline=None)
+    @given(geometry=conv_geometries())
+    @with_examples(strided_geometries())
+    def test_strided_conv2d_backward_by_stride_phase(self, geometry):
+        # each stride phase's correlation fills its rows and columns of the
+        # input gradient, and inputs no tap reaches get zero
+        assert_conv_adjoint(geometry)
+        x_shape, w_shape, stride, padding = geometry
+        rng = np.random.default_rng(len(x_shape + w_shape) + sum(stride + padding))
+        x, w = t(rng.standard_normal(x_shape)), t(rng.standard_normal(w_shape))
+        out = T.conv2d(x, w, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        out.backward(g)
+        ref = conv_input_grad_scatter(g, w.data, x_shape, stride, padding)
+        scale = conv_input_grad_scatter(np.abs(g), np.abs(w.data), x_shape, stride, padding)
+        assert np.all(np.abs(x.grad - ref) <= 1e-12 * scale.max())
 
     def test_separable_conv2d(self):
         x = t(rand(1, 2, 7, 7, seed=8))
@@ -155,6 +202,53 @@ class TestNormActGradients:
             return T.batchnorm2d(x, gamma, beta, rm.copy(), rv.copy(), mode="eval", eps=1e-3)
 
         check_op_gradients(build, [x, gamma, beta])
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 9),
+                           st.integers(1, 9)),
+           block_bytes=st.sampled_from([1, 40, 256, 1 << 20]),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    @example(shape=(3, 4, 5, 6), block_bytes=200, dtype=np.float32, seed=0)  # channel groups
+    @example(shape=(3, 2, 4, 4), block_bytes=300, dtype=np.float64, seed=1)  # 2-sample blocks
+    def test_batchnorm_train_backward_in_blocks(self, shape, block_bytes, dtype, seed):
+        # the blocked two-pass backward against the whole-map formula, with
+        # blocks of one channel, channel groups, several samples or all
+        rng = np.random.default_rng(seed)
+        c = shape[1]
+        x = rng.standard_normal(shape) * rng.uniform(0.1, 3) + rng.uniform(-2, 2)
+        gamma, beta = rng.uniform(0.5, 1.5, c), rng.standard_normal(c)
+        g = rng.standard_normal(shape)
+
+        def whole_map(dt):
+            xd, gd, gam = x.astype(dt), g.astype(dt), gamma.astype(dt)
+            m = xd.mean(axis=(0, 2, 3), keepdims=True)
+            inv = 1.0 / np.sqrt(xd.var(axis=(0, 2, 3), keepdims=True) + 1e-3)
+            xhat = (xd - m) * inv
+            gscaled = gd * gam.reshape(1, c, 1, 1)
+            mean_g = gscaled.mean(axis=(0, 2, 3), keepdims=True)
+            mean_gx = (gscaled * xhat).mean(axis=(0, 2, 3), keepdims=True)
+            gx = inv * (gscaled - mean_g - xhat * mean_gx)
+            terms = np.abs(inv * gam.reshape(1, c, 1, 1)) * (
+                np.abs(gd) + np.abs(mean_g / gam.reshape(1, c, 1, 1))
+                + np.abs(xhat * mean_gx / gam.reshape(1, c, 1, 1)))
+            return gx, (gd * xhat).sum(axis=(0, 2, 3)), np.abs(gd * xhat).sum(axis=(0, 2, 3)), terms
+
+        xt, gt, bt = (T.Tensor(a.astype(dtype), requires_grad=True) for a in (x, gamma, beta))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_BLOCK_BYTES", block_bytes)
+            out = T.batchnorm2d(xt, gt, bt, np.zeros(c), np.ones(c), mode="train", eps=1e-3)
+            out.backward(g.astype(dtype))
+        assert np.array_equal(bt.grad, g.astype(dtype).sum(axis=(0, 2, 3)))
+        ref_gx, ref_gamma, gamma_scale, gx_terms = whole_map(np.float64)
+        old_gx, old_gamma = whole_map(dtype)[:2]
+        if dtype == np.float64:
+            assert np.abs(xt.grad - ref_gx).max() <= 1e-12 * gx_terms.max()
+            assert np.all(np.abs(gt.grad - ref_gamma) <= 1e-12 * gamma_scale)
+        else:
+            old_err = np.abs(old_gx - ref_gx).max()
+            assert np.abs(xt.grad - ref_gx).max() <= old_err + 1e-5 * gx_terms.max()
+            old_err = np.abs(old_gamma - ref_gamma).max()
+            assert np.abs(gt.grad - ref_gamma).max() <= old_err + 1e-5 * gamma_scale.max()
 
     def test_relu_away_from_kink(self):
         x = t(rand(2, 4, 8, 8, seed=22, lo=0.2, hi=1.0) * np.sign(rand(2, 4, 8, 8, seed=23)))

@@ -129,3 +129,45 @@ class TestRelease:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * held, (peak, held)
+
+
+class TestOwnership:
+    """A node owns its ``.grad``: an op hands over a gradient it made fresh
+    for one operand, and copies any other."""
+
+    def test_no_two_parameter_gradients_share_memory(self):
+        graph, params, x = small_run()
+        run = M.forward(graph, params, x, mode="train", requires_grad=True)
+        seed = np.random.default_rng(3).uniform(-1, 1, run.output.shape).astype(np.float32)
+        grads = list(run.backward(seed).values())
+        assert len(grads) > 100
+        others = grads + list(params.values()) + [seed]
+        for i, g in enumerate(grads):
+            for other in others[i + 1 :]:
+                assert not np.shares_memory(g, other)
+
+    def test_add_of_a_tensor_to_itself(self):
+        a = leaf(np.random.default_rng(4).standard_normal((2, 3)))
+        seed = np.random.default_rng(5).standard_normal((2, 3))
+        kept = seed.copy()
+        T.relu(T.add(a, a)).backward(seed)
+        assert np.array_equal(a.grad, 2 * (seed * (a.data > 0)))
+        assert np.array_equal(seed, kept)
+
+    def test_a_concat_input_read_again(self):
+        a = leaf(np.random.default_rng(6).standard_normal((2, 2, 3, 3)))
+        seed = np.random.default_rng(7).standard_normal((2, 6, 3, 3))
+        kept = seed.copy()
+        T.concat_channels([a, T.relu(a), a]).backward(seed)
+        expected = seed[:, :2] + seed[:, 4:] + seed[:, 2:4] * (a.data > 0)
+        np.testing.assert_allclose(a.grad, expected, rtol=1e-15, atol=0)
+        assert np.array_equal(seed, kept)
+
+    def test_relu_keeps_the_layout_of_its_product(self):
+        # channel_sum's gradient is channel-innermost; relu's product is
+        # laid out in C order all the same, as before it went in place
+        x = leaf(np.random.default_rng(8).standard_normal((2, 3, 4, 5)))
+        seed = np.random.default_rng(9).standard_normal((2, 1, 4, 5))
+        T.channel_sum(T.relu(x)).backward(seed)
+        assert x.grad.flags.c_contiguous
+        assert np.array_equal(x.grad, np.broadcast_to(seed, x.shape) * (x.data > 0))

@@ -1,8 +1,10 @@
 """Trainer, evaluation, inference and CLI behaviour on tiny synthetic data."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +192,37 @@ class TestTrainLoop:
         assert log == stats.line()
         assert [kv.split("=")[0] for kv in log.split()] == [
             "epoch", "loss", "l_c", "l_ot", "l_tv", "val_mae", "lr"]
+
+    def test_a_step_lets_go_of_the_last_before_its_forward(self, tiny_dirs, tmp_path,
+                                                          monkeypatch):
+        # two steps of 3 crops: once the optimizer has used step 1's output
+        # and parameter gradients, nothing holds them through step 2's forward
+        refs, alive_at_forward = [], []
+        forward, backward = M.forward, M.ForwardResult.backward
+
+        def recording_forward(*args, **kw):
+            run = forward(*args, **kw)
+            if kw.get("requires_grad"):
+                alive_at_forward.append([r() is not None for r in refs])
+                refs.append(weakref.ref(run.output.data))
+            return run
+
+        def recording_backward(self, seed):
+            grads = backward(self, seed)
+            refs.extend(weakref.ref(g) for g in grads.values())
+            return grads
+
+        monkeypatch.setattr(M, "forward", recording_forward)
+        monkeypatch.setattr(M.ForwardResult, "backward", recording_backward)
+        gc.collect()
+        gc.disable()
+        try:
+            TR.train(tiny_config(tiny_dirs, tmp_path / "steps"))
+        finally:
+            gc.enable()
+        assert len(alive_at_forward) == 2
+        assert alive_at_forward[0] == []
+        assert len(alive_at_forward[1]) > 100 and not any(alive_at_forward[1])
 
     def test_lr_decays_per_epoch(self, tiny_dirs, tmp_path):
         cfg = tiny_config(tiny_dirs, tmp_path / "run4", epochs=3, lr_gamma=0.5)
