@@ -21,7 +21,7 @@ def _add_train_overrides(p: argparse.ArgumentParser) -> None:
                    help="override one config key (repeatable)")
     p.add_argument("--seed", type=int)
     p.add_argument("--precision", type=int, choices=(32, 64))
-    p.add_argument("--ablation", choices=TR.ABLATIONS)
+    p.add_argument("--ablation", choices=M.ABLATIONS)
     p.add_argument("--width-scale", type=float, dest="width_scale")
 
 
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("flops", help="operation-count report for a model configuration")
     f.add_argument("--height", type=int, default=1080)
     f.add_argument("--width", type=int, default=1920)
-    f.add_argument("--ablation", choices=TR.ABLATIONS, default="none")
+    f.add_argument("--ablation", choices=M.ABLATIONS, default="none")
     f.add_argument("--width-scale", type=float, dest="width_scale", default=1.0)
     f.add_argument("--per-layer", action="store_true", help="print the per-layer table")
     f.add_argument("--records", action="store_true", help="print machine-readable records")
@@ -112,8 +112,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    config = TR.TrainConfig(ablation=args.ablation, width_scale=args.width_scale).model_config()
-    graph = M.build_icc(config)
+    graph = M.build_icc(M.ModelConfig(width_scale=args.width_scale, ablation=args.ablation))
     try:
         report = F.count_graph(graph, (3, args.height, args.width))
     except ShapeError as e:

@@ -51,26 +51,14 @@ class Layer:
 
 @dataclass
 class ModelConfig:
-    use_contextual_module: bool = True
-    use_inception_blocks: bool = True
     width_scale: float = 1.0
+    ablation: str = "none"  # one of ABLATIONS
 
     def __post_init__(self):
         if not 0 < self.width_scale < math.inf:
             raise ConfigError(f"width scale must be positive and finite, got {self.width_scale}")
-        if not (self.use_contextual_module or self.use_inception_blocks):
-            raise ConfigError(
-                "both context paths disabled (no contextual module, no inception blocks): "
-                "fusion input would be empty"
-            )
-
-    @property
-    def ablation(self) -> str | None:
-        if not self.use_contextual_module:
-            return "no-context"
-        if not self.use_inception_blocks:
-            return "no-inception"
-        return None
+        if self.ablation not in ABLATIONS:
+            raise ConfigError(f"unknown ablation {self.ablation!r}")
 
 
 @dataclass
@@ -376,6 +364,10 @@ def _contextual_module(b: _Builder, src: str, scales: tuple[int, ...]) -> str:
     return b.emit("context.out", "concat", [src, fused], channels=2 * c)
 
 
+# the full net, or the net without one of its two context paths
+ABLATIONS = ("none", "no-context", "no-inception")
+
+
 def build_icc(config: ModelConfig) -> GraphDescription:
     """Assemble the full counting network for the given configuration."""
     b = _Builder(config.width_scale)
@@ -392,10 +384,10 @@ def build_icc(config: ModelConfig) -> GraphDescription:
     taps = {"Feature1": feature1}
     fusion_inputs: list[str] = []
 
-    if config.use_contextual_module:
+    if config.ablation != "no-context":
         fusion_inputs.append(_contextual_module(b, feature1, CONTEXT_SCALES))
 
-    if config.use_inception_blocks:
+    if config.ablation != "no-inception":
         a = _inception_a(b, "inception_a1", feature1, 32)
         a = _inception_a(b, "inception_a2", a, 64)
         feature2 = _inception_a(b, "inception_a3", a, 64)
@@ -423,7 +415,8 @@ def build_icc(config: ModelConfig) -> GraphDescription:
         x = b.conv(f"decoder.conv{i + 1}", x, b.w(cout), k, bias=True)
         x = b.emit(f"decoder.relu{i + 1}", "relu", [x])
     taps["output"] = b.emit("density", "channel_sum", [x], channels=1)
-    return GraphDescription(layers=b.layers, taps=taps, ablation=config.ablation)
+    ablation = None if config.ablation == "none" else config.ablation
+    return GraphDescription(layers=b.layers, taps=taps, ablation=ablation)
 
 
 def build_vgg16_frontend() -> GraphDescription:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericError, ShapeError
@@ -26,14 +28,16 @@ class AdamW:
     ):
         self.params = params
         self.set_lr(lr)
+        if not 0 <= weight_decay < math.inf:
+            raise ValueError(f"weight decay must be finite and >= 0, got {weight_decay}")
         self.weight_decay = float(weight_decay)
         self.step_count = 0
         self.m = {k: np.zeros_like(p) for k, p in params.items()}
         self.v = {k: np.zeros_like(p) for k, p in params.items()}
 
     def set_lr(self, lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not 0 < lr < math.inf:
+            raise ValueError(f"learning rate must be finite and > 0, got {lr}")
         self.lr = float(lr)
 
     def step(self, grads: dict[str, np.ndarray]) -> None:

@@ -19,7 +19,6 @@ from .errors import ConfigError, DataError, NumericError
 from .optim import AdamW
 
 PRED_MASS_FLOOR = 1e-8
-ABLATIONS = ("none", "no-context", "no-inception")
 
 
 @dataclass
@@ -37,7 +36,7 @@ class TrainConfig:
     seed: int = 0
     precision: int = 32
     width_scale: float = 1.0
-    ablation: str = "none"  # one of ABLATIONS
+    ablation: str = "none"  # one of model.ABLATIONS
     train_dir: str = ""
     val_dir: str = ""
     out_dir: str = "runs/default"
@@ -70,21 +69,15 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.precision not in (32, 64):
             raise ConfigError(f"precision must be 32 or 64, got {self.precision}")
-        if self.ablation not in ABLATIONS:
-            raise ConfigError(f"unknown ablation {self.ablation!r}")
         needed = max(M.CONTEXT_SCALES) * M.OUTPUT_STRIDE
-        if self.model_config().use_contextual_module and self.crop_size < needed:
+        if self.model_config().ablation != "no-context" and self.crop_size < needed:
             raise ConfigError(
                 f"crop size {self.crop_size} too small for contextual scales "
                 f"{M.CONTEXT_SCALES} (needs >= {needed})"
             )
 
     def model_config(self) -> M.ModelConfig:
-        return M.ModelConfig(
-            use_contextual_module=self.ablation != "no-context",
-            use_inception_blocks=self.ablation != "no-inception",
-            width_scale=self.width_scale,
-        )
+        return M.ModelConfig(width_scale=self.width_scale, ablation=self.ablation)
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
@@ -96,17 +89,13 @@ class TrainConfig:
 
     def apply_pairs(self, pairs: dict[str, str]) -> "TrainConfig":
         values = dataclasses.asdict(self)
+        # each field's default is of its declared type
+        types = {f.name: type(f.default) for f in dataclasses.fields(self)}
         for key, raw in pairs.items():
-            if key not in values:
+            if key not in types:
                 raise ConfigError(f"unknown config key {key!r}")
-            current = getattr(self, key)
             try:
-                if isinstance(current, int):
-                    values[key] = int(raw)
-                elif isinstance(current, float):
-                    values[key] = float(raw)
-                else:
-                    values[key] = raw
+                values[key] = types[key](raw)
             except ValueError:
                 raise ConfigError(f"bad value {raw!r} for config key {key!r}") from None
         return TrainConfig(**values)

@@ -230,11 +230,7 @@ def test_criterion_6_shape_contract():
         checked.append(f"{h}x{w}->{expected[0]}x{expected[1]}")
     del params
     for ablation in ("no-context", "no-inception"):
-        cfg = M.ModelConfig(
-            use_contextual_module=ablation != "no-context",
-            use_inception_blocks=ablation != "no-inception",
-            width_scale=0.25,
-        )
+        cfg = M.ModelConfig(width_scale=0.25, ablation=ablation)
         g = M.build_icc(cfg)
         p = M.init_parameters(g, 0)
         image = rng.uniform(0, 1, (3, 250, 330)).astype(np.float32)
@@ -298,8 +294,8 @@ def test_criterion_8_benchmark_scope_is_structural_only():
     # What is asserted is that the component-analysis variants are
     # constructible and well-formed.
     full = M.build_icc(M.ModelConfig())
-    no_ctx = M.build_icc(M.ModelConfig(use_contextual_module=False))
-    no_inc = M.build_icc(M.ModelConfig(use_inception_blocks=False))
+    no_ctx = M.build_icc(M.ModelConfig(ablation="no-context"))
+    no_inc = M.build_icc(M.ModelConfig(ablation="no-inception"))
     assert full.ablation is None
     assert no_ctx.ablation == "no-context"
     assert no_inc.ablation == "no-inception"

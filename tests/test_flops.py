@@ -113,8 +113,8 @@ class TestCountGraph:
 
     def test_ablation_counts_less_than_full(self):
         full = count_graph(M.build_icc(M.ModelConfig()), (3, 512, 512))
-        for ablation in ({"use_inception_blocks": False}, {"use_contextual_module": False}):
-            reduced = count_graph(M.build_icc(M.ModelConfig(**ablation)), (3, 512, 512))
+        for ablation in ("no-inception", "no-context"):
+            reduced = count_graph(M.build_icc(M.ModelConfig(ablation=ablation)), (3, 512, 512))
             assert reduced.total_ops < full.total_ops
             assert reduced.total_multiplies < full.total_multiplies
 

@@ -7,7 +7,6 @@ import pytest
 
 from icc import model as M
 from icc import tensor as T
-from icc import train as TR
 from icc.errors import ConfigError, DataError, NumericError, ShapeError
 from icc.flops import count_graph
 
@@ -87,7 +86,7 @@ class TestGraphStructure:
                 assert l.kind in ("conv", "batchnorm", "relu", "avgpool", "concat")
 
     def test_graph_text_round_trip(self):
-        graph = M.build_icc(M.ModelConfig(width_scale=0.5, use_contextual_module=True))
+        graph = M.build_icc(M.ModelConfig(width_scale=0.5))
         text = graph.to_text()
         back = M.GraphDescription.from_text(text)
         assert back.taps == graph.taps
@@ -97,9 +96,9 @@ class TestGraphStructure:
             assert a == ipt
         assert back.to_text() == text
 
-    @pytest.mark.parametrize("ablation", TR.ABLATIONS)
+    @pytest.mark.parametrize("ablation", M.ABLATIONS)
     def test_legacy_tap_tokens_load_as_tap_lines(self, ablation):
-        graph = M.build_icc(TR.TrainConfig(ablation=ablation, width_scale=0.25).model_config())
+        graph = M.build_icc(M.ModelConfig(width_scale=0.25, ablation=ablation))
         text = legacy_text(graph)
         assert text.count(" tap=") == len(graph.taps)
         assert M.GraphDescription.from_text(text) == graph
@@ -281,7 +280,7 @@ class TestDecoder:
 
 class TestAblations:
     def test_no_inception_blocks(self):
-        cfg = small_config(use_inception_blocks=False)
+        cfg = small_config(ablation="no-inception")
         graph = M.build_icc(cfg)
         assert graph.ablation == "no-inception"
         assert "Feature2" not in graph.taps and "Feature3" not in graph.taps
@@ -290,13 +289,13 @@ class TestAblations:
         assert run.output.shape == (1, 1, 8, 8)
 
     def test_no_contextual_module(self):
-        cfg = small_config(use_contextual_module=False)
+        cfg = small_config(ablation="no-context")
         graph = M.build_icc(cfg)
         assert graph.ablation == "no-context"
         assert not any(l.name.startswith("context") for l in graph.layers)
         fusion = graph.layer_map()["fusion"]
         assert len(fusion.inputs) == 2  # Feature2 + upsampled Feature3
-        full = M.build_icc(M.ModelConfig(use_contextual_module=False))
+        full = M.build_icc(M.ModelConfig(ablation="no-context"))
         report = count_graph(full, (3, 256, 256))
         shapes = {l.name: l.out_shape for l in report.layers}
         assert shapes["fusion"][0] == 288 + 768
@@ -305,8 +304,9 @@ class TestAblations:
         assert run.output.shape == (1, 1, 8, 8)
 
     def test_both_paths_disabled_rejected(self):
-        with pytest.raises(ConfigError, match="fusion"):
-            M.build_icc(M.ModelConfig(use_contextual_module=False, use_inception_blocks=False))
+        # the one value names at most one path to leave out
+        with pytest.raises(ConfigError, match="unknown ablation"):
+            M.ModelConfig(ablation="no-context+no-inception")
 
     def test_config_validation(self):
         for width in (0.0, float("nan"), float("inf")):

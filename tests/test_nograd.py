@@ -619,12 +619,10 @@ class TestBufferPlan:
         return fast, slow
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("ablation", [{}, {"use_contextual_module": False},
-                                          {"use_inception_blocks": False}],
-                             ids=["full", "no-context", "no-inception"])
+    @pytest.mark.parametrize("ablation", M.ABLATIONS, ids=["full", "no-context", "no-inception"])
     @pytest.mark.parametrize("width", [0.25, 1.0])
     def test_no_grad_forward_is_bit_identical(self, width, ablation, dtype):
-        graph = M.build_icc(M.ModelConfig(width_scale=width, **ablation))
+        graph = M.build_icc(M.ModelConfig(width_scale=width, ablation=ablation))
         params = M.init_parameters(graph, 1, dtype)
         x = np.random.default_rng(2).uniform(0, 1, (2, 3, 64, 96)).astype(dtype)
         self.both(graph, params, x)
@@ -705,11 +703,9 @@ class TestBufferPlan:
         assert not any(kind[l] == "batchnorm" for l in plan.donor)
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("ablation", [{}, {"use_contextual_module": False},
-                                          {"use_inception_blocks": False}],
-                             ids=["full", "no-context", "no-inception"])
+    @pytest.mark.parametrize("ablation", M.ABLATIONS, ids=["full", "no-context", "no-inception"])
     def test_recorded_forward_matches_it_without_the_plan(self, ablation, dtype, monkeypatch):
-        graph = M.build_icc(M.ModelConfig(width_scale=0.25, **ablation))
+        graph = M.build_icc(M.ModelConfig(width_scale=0.25, ablation=ablation))
         x = np.random.default_rng(14).uniform(0, 1, (2, 3, 64, 96)).astype(dtype)
         seed = np.random.default_rng(15).uniform(-1, 1, (2, 1, 8, 12)).astype(dtype)
 

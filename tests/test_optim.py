@@ -71,3 +71,22 @@ def test_parameters_update_in_place():
     opt = AdamW({"w": arr}, lr=1e-2)
     opt.step({"w": np.ones(2)})
     assert arr[0] != 1.0  # same buffer mutated
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+def test_learning_rate_must_be_finite_and_positive(lr):
+    p = {"w": np.array([1.0])}
+    with pytest.raises(ValueError, match="learning rate"):
+        AdamW(p, lr=lr)
+    opt = AdamW(p, lr=1e-2)
+    with pytest.raises(ValueError, match="learning rate"):
+        opt.set_lr(lr)
+    assert opt.lr == 1e-2
+    opt.step({"w": np.array([0.5])})
+    assert np.isfinite(p["w"]).all()
+
+
+@pytest.mark.parametrize("wd", [-5.0, float("nan"), float("inf")])
+def test_weight_decay_must_be_finite_and_non_negative(wd):
+    with pytest.raises(ValueError, match="weight decay"):
+        AdamW({"w": np.array([1.0])}, lr=1e-2, weight_decay=wd)

@@ -4,6 +4,7 @@
 reshaped one would otherwise only fail a traced benchmark run.
 """
 
+import copy
 from pathlib import Path
 
 import numpy as np
@@ -62,3 +63,23 @@ def test_traced_call_counts_of_one_prediction(monkeypatch):
     calls = {kind: metrics[f"tensor.{kind}.calls"] for kind in workloads.TENSOR_KINDS}
     assert calls == {"conv2d": 51, "maxpool2d": 3, "avgpool2d": 8, "batchnorm2d": 40,
                      "interpolate": 6, "concat_channels": 7, "elementwise": 64}
+
+
+def test_each_workload_builds_its_config_and_graph(monkeypatch, tmp_path):
+    # what the workloads' make_inputs, setup and call reach of the library;
+    # no inputs are written, config() only names paths under ``work``
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    from icc import model as M
+
+    for name, workload in workloads.WORKLOADS.items():
+        workload = copy.copy(workload)
+        workload.work = tmp_path / name
+        if hasattr(workload, "config"):
+            assert isinstance(workload.config().model_config(), M.ModelConfig)
+        assert "output" in workload.graph().taps
+    for module, attr in (("T", "set_default_dtype"), ("M", "init_parameters"),
+                         ("C", "save_checkpoint"), ("TR", "load_model"), ("TR", "train"),
+                         ("TR", "infer")):
+        assert callable(getattr(getattr(workloads, module), attr)), f"{module}.{attr}"

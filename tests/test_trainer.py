@@ -76,6 +76,15 @@ class TestConfig:
         assert cfg.learning_rate == 2e-4
         assert cfg.ablation == "no-context"
 
+    def test_values_parse_by_field_type(self):
+        # an int held in a float field still takes a float value
+        cfg = TR.TrainConfig(width_scale=1).apply_pairs({"width_scale": "0.5"})
+        assert cfg.width_scale == 0.5
+        cfg = TR.TrainConfig(learning_rate=1).apply_pairs({"learning_rate": "2e-4"})
+        assert cfg.learning_rate == 2e-4
+        with pytest.raises(ConfigError, match="bad value '3.0' for config key 'epochs'"):
+            TR.TrainConfig().apply_pairs({"epochs": "3.0"})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             TR.TrainConfig().apply_pairs({"warp_speed": "9"})
@@ -172,6 +181,9 @@ class TestTrainLoop:
         result = TR.train(cfg)
         assert result.best_val_mae <= result.history[0].val_mae
         assert result.history[result.best_epoch].val_mae == result.best_val_mae
+        # the validation MAE is the one `icc eval` reports for the kept checkpoint
+        graph, params = TR.load_model(result.checkpoint_path)
+        assert TR.evaluate(graph, params, cfg.val_dir).mae == result.best_val_mae
 
     def test_precision_64_checkpoint_leaves_default_dtype(self, tiny_dirs, tmp_path):
         before = T.default_dtype()
