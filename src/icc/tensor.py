@@ -19,11 +19,13 @@ after the op's proof, and a Tensor the caller builds is never verified.
 relu, sigmoid, max pooling and channel concat cannot make a non-finite value
 from finite operands (every max-pooling window holds an in-bounds cell), so
 they scan nothing when every operand is verified; an unverified operand's
-output is scanned. Batch norm's four affine passes and its scan and both
-axis passes of max pooling run block by block over about ``_BLOCK_BYTES`` of
-the map (``_blocks``: whole samples when one fits, else channel groups of one
-sample), and conv2d adds its bias to each band of output rows and scans it
-right after the band's GEMM, so that each pass finds its block still in cache.
+output is scanned. Batch norm's four affine passes and its scan, both axis
+passes of max pooling and both GEMMs of a separable linear map and its scan
+run block by block over about ``_BLOCK_BYTES`` of the map (``_blocks``: whole
+samples when one fits, else channel groups of one sample), and conv2d adds
+its bias to each band of output rows and scans it right after the band's
+GEMM, so that each pass finds its block still in cache and no whole-map
+intermediate is made.
 Batch norm's train-mode backward takes two per-channel sums, Σg and Σg·x̂,
 and then writes x's gradient, in two passes over the same blocks.
 
@@ -104,9 +106,9 @@ def default_dtype():
 def _check_finite(data: np.ndarray, op: str) -> None:
     # A finite sum rules out NaN and Inf in one pass with no temporary; a
     # non-finite one may be an overflow of finite values, so scan then. Ops
-    # call it on a whole output, on each block of one (batch norm) or on
-    # each conv band, and not at all where verified operands prove the
-    # output finite.
+    # call it on a whole output, on each block of one (batch norm, the
+    # separable maps) or on each conv band, and not at all where verified
+    # operands prove the output finite.
     with np.errstate(over="ignore", invalid="ignore"):
         total = data.sum()
     if not np.isfinite(total) and not np.all(np.isfinite(data)):
@@ -795,20 +797,27 @@ def _bilinear_axis(n_in: int, n_out: int, dtype) -> np.ndarray:
     return r
 
 
-def _separable(rh: np.ndarray, rw: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
-    """rh·a·rwᵀ over the two trailing axes of a 4-D array: along H, then W,
-    written into ``out`` when given."""
-    along_h = np.matmul(rh, a)
-    n, c, oh, w = along_h.shape
-    # One GEMM for every sample, straight into a contiguous ``out`` (as a
-    # channel slice of a one-sample buffer is); GEMMs split by sample may
-    # round differently.
-    into = out.reshape(n * c * oh, -1) if out is not None and out.flags.c_contiguous else None
-    res = np.matmul(along_h.reshape(n * c * oh, w), rw.T, out=into).reshape(n, c, oh, -1)
+def _separable(rh: np.ndarray, rw: np.ndarray, a: np.ndarray, out=None, op=None) -> np.ndarray:
+    """rh·a·rwᵀ over the two trailing axes of a 4-D array, into ``out`` when
+    given. Block by block over ``_blocks`` of ``a``: each block goes along H,
+    then along W straight into its slice of the output (through a temporary
+    where that slice is not contiguous), and is scanned for ``op``, when one
+    is named, while the W-axis GEMM has just left it in cache."""
+    n, c, _, w = a.shape
+    wo = rw.shape[0]
     if out is None:
-        return res
-    if into is None:
-        out[...] = res
+        out = np.empty((n, c, rh.shape[0], wo), a.dtype)
+    # a non-finite input meets zero weights (inf·0); the scan reports it
+    with np.errstate(invalid="ignore", over="ignore"):
+        for idx in _blocks(a.shape, a.itemsize):
+            block = out[idx]
+            into = block.reshape(-1, wo) if block.flags.c_contiguous else None
+            # the H-axis product is freed as soon as the W-axis GEMM returns
+            res = np.matmul(np.matmul(rh, a[idx]).reshape(-1, w), rw.T, out=into)
+            if into is None:
+                block[...] = res.reshape(block.shape)
+            if op is not None:
+                _check_finite(block, op)
     return out
 
 
@@ -818,10 +827,7 @@ def _resample(x: Tensor, rh: np.ndarray, rw: np.ndarray, op: str, out=None) -> T
     def backward(g):
         _accumulate(x, _separable(rh.T, rw.T, g), owned=True)
 
-    # A non-finite input meets zero weights (inf·0); _make reports it.
-    with np.errstate(invalid="ignore", over="ignore"):
-        out_data = _separable(rh, rw, x.data, out)
-    return _make(out_data, (x,), backward, op)
+    return _make(_separable(rh, rw, x.data, out, op), (x,), backward, op, checked=True)
 
 
 def avgpool2d(x, window, stride=None, padding=0) -> Tensor:

@@ -366,9 +366,9 @@ def infer(
     With ``upsample`` the stride-8 map is bilinearly resized to the image
     resolution and rescaled so its sum still matches the predicted count.
     """
-    image = D.read_ppm(image_path)
-    h, w = image.shape[1:]
-    dmap = M.predict_density(graph, params, D.normalize(image))
+    x = D.normalize(D.read_ppm(image_path))
+    h, w = x.shape[1:]
+    dmap = M.predict_density(graph, params, x)
     count = float(dmap.sum())
     if upsample:
         t = T.interpolate(T.Tensor(dmap[None, None].astype(np.float64)), h, w, "bilinear")

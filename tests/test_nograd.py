@@ -39,7 +39,11 @@ cache-sized blocks, and conv2d adds its bias to each band and checks it
 there; with ``_BLOCK_BYTES`` monkeypatched so that blocks split channels,
 hold one sample or span several, and conv bands of 1-4 rows, their outputs
 are held bit for bit to the whole-map formulas, and a value planted in the
-last block or band still raises.
+last block or band still raises. The separable linear maps (average and
+adaptive pooling, resizing) run on the same blocks and scan each one; their
+W-axis GEMM is split by block, so they are held to a float64 Rh·x·Rwᵀ within
+the rounding bound of their dtype, and an upsample holds no whole-map
+intermediate.
 
 A recorded pooling op holds its output and no padded copy of its input
 between the passes. Pooling and batch norm are held to an independent reference: the loop
@@ -524,25 +528,74 @@ class TestBlocks:
         assert out.dtype == whole.dtype
         np.testing.assert_array_equal(out.data, whole)
 
+    ONES = T.Tensor(np.ones(3, np.float32))
+    LAST_BLOCK_OPS = {
+        "conv2d": lambda x: T.conv2d(x, T.Tensor(np.ones((3, 3, 3, 3), np.float32)), padding=1,
+                                     bias=TestBlocks.ONES),
+        "batchnorm2d-train": lambda x: T.batchnorm2d(
+            x, TestBlocks.ONES, TestBlocks.ONES, np.zeros(3, np.float32), np.ones(3, np.float32),
+            mode="train"),
+        "batchnorm2d-eval": lambda x: T.batchnorm2d(
+            x, TestBlocks.ONES, TestBlocks.ONES, np.zeros(3, np.float32), np.ones(3, np.float32),
+            mode="eval"),
+        "avgpool2d": lambda x: T.avgpool2d(x, 3, stride=1, padding=1),
+        "adaptive_avgpool2d": lambda x: T.adaptive_avgpool2d(x, 2, 3),
+        "interpolate": lambda x: T.interpolate(x, 7, 4),
+    }
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
-    @pytest.mark.parametrize("op", ["conv2d", "batchnorm2d-train", "batchnorm2d-eval"])
+    @pytest.mark.parametrize("op", sorted(LAST_BLOCK_OPS))
     def test_non_finite_in_the_last_block_raises(self, op, value, scanned, monkeypatch):
         monkeypatch.setattr(T, "_BLOCK_BYTES", 64)
         monkeypatch.setattr(T, "_COL_BUFFER_BYTES", 3 * 9 * 6 * 4)  # bands of one row
         x = np.random.default_rng(5).standard_normal((2, 3, 5, 6)).astype(np.float32)
         x[-1, -1, -1, -1] = value
-        ones = T.Tensor(np.ones(3, np.float32))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=f"^{op.split('-')[0]}: non-finite values"):
-                if op == "conv2d":
-                    T.conv2d(T.Tensor(x), T.Tensor(np.ones((3, 3, 3, 3), np.float32)), padding=1,
-                             bias=ones)
-                else:
-                    T.batchnorm2d(T.Tensor(x), ones, ones, np.zeros(3, np.float32),
-                                  np.ones(3, np.float32), mode=op.split("-")[1])
+                self.LAST_BLOCK_OPS[op](T.Tensor(x))
         # every block before the last passed its scan
         assert len(scanned) > 2 and len(set(scanned)) == 1
+        if op in ("avgpool2d", "adaptive_avgpool2d", "interpolate"):  # and no whole-map scan
+            assert len(scanned) == len(T._blocks(x.shape, x.itemsize))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), c=st.integers(1, 4), h=st.integers(1, 7), w=st.integers(1, 7),
+           ho=st.integers(1, 9), wo=st.integers(1, 9),
+           layout=st.sampled_from(["channels", "sample", "samples"]),
+           dtype=st.sampled_from(DTYPES), seed=st.integers(0, 2**16))
+    def test_separable_matches_the_whole_map(self, n, c, h, w, ho, wo, layout, dtype, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, c, h, w)).astype(dtype)
+        rh, rw = rng.standard_normal((ho, h)).astype(dtype), rng.standard_normal((wo, w)).astype(dtype)
+        ref = rh.astype(np.float64) @ a.astype(np.float64) @ rw.T.astype(np.float64)
+        # a bound on both sums' rounding in ``dtype``, element by element
+        bound = 2 * (h + w) * np.finfo(dtype).eps * (np.abs(rh) @ np.abs(a) @ np.abs(rw).T)
+        # a contiguous ``out`` and a channel slice of a larger buffer
+        whole, buf = np.empty((n, c, ho, wo), dtype), np.full((n, c + 3, ho, wo), np.nan, dtype)
+        sliced = buf[:, 2 : 2 + c]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_BLOCK_BYTES", _block_bytes(a[0].nbytes, h * w * a.itemsize, layout))
+            fresh = T._separable(rh, rw, a)
+            assert T._separable(rh, rw, a, whole) is whole
+            assert T._separable(rh, rw, a, sliced) is sliced
+        assert np.isnan(buf[:, :2]).all() and np.isnan(buf[:, 2 + c :]).all()
+        for out in (fresh, whole, sliced):
+            assert out.dtype == dtype
+            assert (np.abs(out - ref) <= bound).all()
+            np.testing.assert_array_equal(out, fresh)
+
+    def test_separable_makes_no_whole_map_intermediate(self):
+        # An upsample's output is 16 MiB; each 1 MiB block of the input makes
+        # a 2 MiB product along H, freed as soon as its W-axis GEMM returns.
+        x = T.Tensor(np.random.default_rng(6).standard_normal((1, 256, 64, 64)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = T.upsample(x, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.data.nbytes + (5 << 20)
 
 
 class TestForward:
