@@ -1,6 +1,7 @@
 """Command-line entry point: train / eval / infer / flops / synth.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 configuration error, 3 data error (or a file that
+cannot be written), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     graph, params = TR.load_model(args.checkpoint, args.graph)
-    result = TR.evaluate(graph, params, args.data_dir)
+    result = TR.evaluate(graph, params, D.load_dataset(args.data_dir))
     for rec_id, z, zhat in result.records:
         print(f"{rec_id} true={z:.1f} predicted={zhat:.2f}")
     print(result.line())
@@ -158,6 +159,9 @@ def main(argv=None) -> int:
         return 2
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
+        return 3
+    except OSError as e:  # readers raise DataError; this is an output path
+        print(f"file error: {e}", file=sys.stderr)
         return 3
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)

@@ -136,7 +136,7 @@ class GraphDescription:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != "ICCGRAPH 1":
             raise DataError("not a graph description (missing 'ICCGRAPH 1' header)")
-        ablation: str | None = None
+        ablation = ""  # as written; a graph without the line has none
         taps: dict[str, str] = {}
         layers: list[Layer] = []
 
@@ -152,8 +152,14 @@ class GraphDescription:
                 raise DataError(f"unrecognized graph line: {ln!r}")
             if len(fields) < _GRAPH_LINE_FIELDS[fields[0]]:
                 raise DataError(f"truncated graph line: {ln!r}")
+            if fields[0] != "layer" and len(fields) > _GRAPH_LINE_FIELDS[fields[0]]:
+                raise DataError(f"extra fields on graph line: {ln!r}")
             if fields[0] == "ablation":
-                ablation = None if fields[1] == "none" else fields[1]
+                if ablation:
+                    raise DataError(f"second ablation line: {ln!r}")
+                if fields[1] not in ABLATIONS:
+                    raise DataError(f"unknown ablation on graph line: {ln!r}")
+                ablation = fields[1]
             elif fields[0] == "tap":
                 bind(fields[1], fields[2])
             else:
@@ -184,10 +190,12 @@ class GraphDescription:
         for tap, name in taps.items():
             if name not in earlier:
                 raise DataError(f"tap {tap} names no layer ({name!r})")
+        ablation = None if ablation in ("", "none") else ablation
         return cls(layers=layers, taps=taps, ablation=ablation)
 
 
-# fewest whitespace-separated fields of each graph line kind, keyword included
+# whitespace-separated fields of each graph line kind, keyword included: the
+# exact number for ablation and tap, the fewest for layer
 _GRAPH_LINE_FIELDS = {"ablation": 2, "tap": 3, "layer": 2}
 
 

@@ -170,8 +170,11 @@ def _sample_loss(target: np.ndarray, pred: np.ndarray, cfg: TrainConfig):
 
 
 def train(config: TrainConfig) -> TrainResult:
-    """Run the training loop; keeps the checkpoint with the best validation MAE."""
-    train_images = D.load_dataset(config.train_dir)
+    """Run the training loop; keeps the checkpoint with the best ``evaluate`` MAE."""
+    train_images = [  # normalized as loaded: the raw images are not kept
+        dataclasses.replace(ann, image=D.normalize(ann.image))
+        for ann in D.load_dataset(config.train_dir)
+    ]
     val_images = D.load_dataset(config.val_dir)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -185,12 +188,6 @@ def train(config: TrainConfig) -> TrainResult:
     opt = AdamW(params, lr=config.learning_rate, weight_decay=config.weight_decay)
 
     rng = np.random.default_rng(config.seed)
-    normalized = [
-        dataclasses.replace(ann, image=D.normalize(ann.image)) for ann in train_images
-    ]
-    val_normalized = [
-        dataclasses.replace(ann, image=D.normalize(ann.image)) for ann in val_images
-    ]
 
     history: list[EpochStats] = []
     best_val = np.inf
@@ -201,13 +198,13 @@ def train(config: TrainConfig) -> TrainResult:
     for epoch in range(config.epochs):
         epoch_lr = config.learning_rate * config.lr_gamma**epoch
         opt.set_lr(epoch_lr)
-        order = rng.permutation(len(normalized))
+        order = rng.permutation(len(train_images))
         sums = np.zeros(4)  # loss, l_c, l_ot, l_tv
         n_samples = 0
         solves = []  # (iterations, converged, marginal error) of each solve
         for step, start in enumerate(range(0, len(order), config.batch_size)):
             idx = order[start : start + config.batch_size]
-            samples = [random_crop_padded(normalized[i], hc, wc, rng) for i in idx]
+            samples = [random_crop_padded(train_images[i], hc, wc, rng) for i in idx]
             # The last step's output and gradients go before this forward,
             # which reuses their memory; freed right after opt.step, glibc
             # trimmed them off the heap for the forward to fault back in.
@@ -237,7 +234,10 @@ def train(config: TrainConfig) -> TrainResult:
                 raise type(e)(f"epoch {epoch} step {step} (samples {ids}): {e}") from e
             opt.step(grads)
 
-        val_mae = _validation_mae(graph, params, val_normalized)
+        try:
+            val_mae = evaluate(graph, params, val_images).mae
+        except (NumericError, DataError) as e:
+            raise type(e)(f"epoch {epoch} validation: {e}") from e
         stats = EpochStats(
             epoch=epoch,
             loss=sums[0] / n_samples,
@@ -277,13 +277,6 @@ def random_crop_padded(ann: D.AnnotatedImage, hc: int, wc: int, rng) -> D.Sample
     return D.random_crop(ann, hc, wc, rng)
 
 
-def _validation_mae(graph, params, images) -> float:
-    """The MAE of ``icc eval``: ``aggregate_metrics`` over whole-image counts."""
-    z = [len(ann.points) for ann in images]
-    zhat = [float(M.predict_density(graph, params, ann.image).sum()) for ann in images]
-    return aggregate_metrics(z, zhat)[0]
-
-
 # -- evaluation ----------------------------------------------------------------
 
 
@@ -314,15 +307,19 @@ def aggregate_metrics(z: np.ndarray, zhat: np.ndarray) -> tuple[float, float]:
     return float(np.abs(err).mean()), float(np.sqrt((err * err).mean()))
 
 
-def evaluate(graph: M.GraphDescription, params: dict, data_dir) -> EvalResult:
-    """Whole-image evaluation: predicted count is the sum of the output map."""
-    images = D.load_dataset(data_dir)
+def evaluate(graph: M.GraphDescription, params: dict, images: list[D.AnnotatedImage]
+             ) -> EvalResult:
+    """Whole-image evaluation of images as loaded: predicted count is the sum
+    of the output map. A DataError or NumericError names its image."""
     records = []
     seconds = []
     for ann in images:
         x = D.normalize(ann.image)
         t0 = time.perf_counter()
-        pred = M.predict_density(graph, params, x)
+        try:
+            pred = M.predict_density(graph, params, x)
+        except (NumericError, DataError) as e:
+            raise type(e)(f"image {ann.id}: {e}") from e
         seconds.append(time.perf_counter() - t0)
         records.append((ann.id, float(len(ann.points)), float(pred.sum())))
     z = np.array([r[1] for r in records])

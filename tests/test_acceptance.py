@@ -274,7 +274,7 @@ def test_criterion_7_desk_scale_learning(learning_run):
         assert b < a, f"training loss not strictly decreasing: {losses[:5]}"
 
     graph, params = TR.load_model(result.checkpoint_path)
-    final = TR.evaluate(graph, params, root / "val")
+    final = TR.evaluate(graph, params, D.load_dataset(root / "val"))
     train_mean = np.mean([len(a.points) for a in train_images])
     val_counts = np.array([len(a.points) for a in val_images], dtype=float)
     baseline_mae, _ = TR.aggregate_metrics(val_counts, np.full_like(val_counts, train_mean))

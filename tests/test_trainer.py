@@ -48,6 +48,14 @@ def run_infer_process(ckpt, graph, image, output):
                            "--image", image, "--output", output)
 
 
+def save_init_model(out):
+    """A width-0.25 net at init, as ``out/model.iccw`` beside its graph."""
+    graph = M.build_icc(M.ModelConfig(width_scale=0.25))
+    save_checkpoint(out / "model.iccw", M.init_parameters(graph, 0))
+    (out / "model.graph").write_text(graph.to_text(), encoding="utf-8")
+    return out / "model.iccw"
+
+
 def tiny_config(tiny_dirs, out, **kw):
     base = dict(
         epochs=1,
@@ -183,7 +191,8 @@ class TestTrainLoop:
         assert result.history[result.best_epoch].val_mae == result.best_val_mae
         # the validation MAE is the one `icc eval` reports for the kept checkpoint
         graph, params = TR.load_model(result.checkpoint_path)
-        assert TR.evaluate(graph, params, cfg.val_dir).mae == result.best_val_mae
+        val = D.load_dataset(cfg.val_dir)
+        assert TR.evaluate(graph, params, val).mae == result.best_val_mae
 
     def test_precision_64_checkpoint_leaves_default_dtype(self, tiny_dirs, tmp_path):
         before = T.default_dtype()
@@ -236,6 +245,34 @@ class TestTrainLoop:
         assert alive_at_forward[0] == []
         assert len(alive_at_forward[1]) > 100 and not any(alive_at_forward[1])
 
+    def test_raw_training_images_are_gone_by_the_first_step(self, tiny_dirs, tmp_path,
+                                                             monkeypatch):
+        # train() keeps only the normalized training set: no image array
+        # that load_dataset read from train_dir is alive at the first forward
+        raw, alive_at_forward = [], []
+        load, forward = D.load_dataset, M.forward
+
+        def recording_load(data_dir):
+            images = load(data_dir)
+            if Path(data_dir) == tiny_dirs / "train":
+                raw.extend(weakref.ref(ann.image) for ann in images)
+            return images
+
+        def recording_forward(*args, **kw):
+            if kw.get("requires_grad") and not alive_at_forward:
+                alive_at_forward.append([r() is not None for r in raw])
+            return forward(*args, **kw)
+
+        monkeypatch.setattr(D, "load_dataset", recording_load)
+        monkeypatch.setattr(M, "forward", recording_forward)
+        gc.collect()
+        gc.disable()
+        try:
+            TR.train(tiny_config(tiny_dirs, tmp_path / "raw"))
+        finally:
+            gc.enable()
+        assert alive_at_forward == [[False] * 6]
+
     def test_lr_decays_per_epoch(self, tiny_dirs, tmp_path):
         cfg = tiny_config(tiny_dirs, tmp_path / "run4", epochs=3, lr_gamma=0.5)
         result = TR.train(cfg)
@@ -253,15 +290,15 @@ def trained(tiny_dirs, tmp_path_factory):
 class TestEvaluateAndInfer:
     def test_evaluate_is_pure(self, trained, tiny_dirs):
         graph, params = trained
-        a = TR.evaluate(graph, params, tiny_dirs / "val")
-        b = TR.evaluate(graph, params, tiny_dirs / "val")
+        a = TR.evaluate(graph, params, D.load_dataset(tiny_dirs / "val"))
+        b = TR.evaluate(graph, params, D.load_dataset(tiny_dirs / "val"))
         assert a.records == b.records
         assert a.mae == b.mae and a.rmse == b.rmse
         assert a.mae <= a.rmse
 
     def test_latency_percentiles(self, trained, tiny_dirs):
         graph, params = trained
-        res = TR.evaluate(graph, params, tiny_dirs / "val")
+        res = TR.evaluate(graph, params, D.load_dataset(tiny_dirs / "val"))
         assert len(res.records) == 3
         assert 0 < res.seconds_median <= res.seconds_max
         assert res.seconds_per_image <= res.seconds_max
@@ -270,7 +307,7 @@ class TestEvaluateAndInfer:
 
     def test_aggregates_recomputable_from_records(self, trained, tiny_dirs):
         graph, params = trained
-        res = TR.evaluate(graph, params, tiny_dirs / "val")
+        res = TR.evaluate(graph, params, D.load_dataset(tiny_dirs / "val"))
         z = [r[1] for r in res.records]
         zhat = [r[2] for r in res.records]
         mae, rmse = TR.aggregate_metrics(z, zhat)
@@ -404,10 +441,17 @@ class TestCLI:
          "attribute value=-inf is not a finite float"),
         (f"{GRAPH_HEAD}layer x kind=scalar_add inputs=input value=1e999\n",
          "attribute value=inf is not a finite float"),
+        ("ICCGRAPH 1\nablation bogus\n", "unknown ablation on graph line: 'ablation bogus'"),
+        (f"{GRAPH_HEAD}ablation no-context\n",
+         "second ablation line: 'ablation no-context'"),
+        ("ICCGRAPH 1\nablation none junk\n", "extra fields on graph line: 'ablation none junk'"),
+        ("ICCGRAPH 1\ntap output density junk\n",
+         "extra fields on graph line: 'tap output density junk'"),
     ], ids=["no-header", "ablation", "tap", "layer", "unknown-line", "unknown-kind",
             "missing-attr", "attr-type", "arity", "input-name", "match-name", "tap-name",
             "no-output-tap", "tap-rebound", "tap-token-disagrees", "tap-token-empty", "value-nan",
-            "value-inf", "value-1e999"])
+            "value-inf", "value-1e999", "ablation-unknown", "ablation-twice", "ablation-extra",
+            "tap-extra"])
     def test_malformed_graph_exit_code(self, tmp_path, text, reason):
         ckpt = tmp_path / "model.iccw"
         save_checkpoint(ckpt, {"w": np.zeros(1, np.float32)})
@@ -482,6 +526,36 @@ class TestCLI:
         assert "Traceback" not in proc.stderr
         assert self.MISMATCHES[case] in proc.stderr
 
+    def test_eval_failure_names_the_image(self, tmp_path):
+        ckpt = save_init_model(tmp_path)
+        D.save_dataset(D.generate_synthetic((2, 6), 16, 16, 1, seed=103), tmp_path / "ds")
+        proc = run_cli_process("eval", "--checkpoint", ckpt, "--data-dir", tmp_path / "ds")
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert ("image synth_103_0000: a 16x16 image (padded to 32x32) does not fit: "
+                "context.s6.pool") in proc.stderr
+
+    @pytest.mark.parametrize("case", ["infer-output", "synth-out-dir", "train-out-dir"])
+    def test_unwritable_output_exit_code(self, tiny_dirs, tmp_path, case):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("", encoding="utf-8")
+        if case == "infer-output":
+            path = tmp_path / "missing" / "x.iccd"
+            image = sorted((tiny_dirs / "val").glob("*.ppm"))[0]
+            args = ["infer", "--checkpoint", save_init_model(tmp_path), "--image", image,
+                    "--output", path]
+        elif case == "synth-out-dir":
+            path = a_file
+            args = ["synth", "--out-dir", path, "--n", "1", "--height", "32", "--width", "32"]
+        else:
+            path = a_file / "run"
+            args = ["train", "--train-dir", tiny_dirs / "train", "--val-dir", tiny_dirs / "val",
+                    "--out-dir", path]
+        proc = run_cli_process(*args)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert str(path) in proc.stderr
+
     def test_cli_train_eval_round_trip(self, tiny_dirs, tmp_path, capsys):
         out = tmp_path / "cli_run"
         rc = cli_main([
@@ -519,6 +593,16 @@ class TestDivergenceHandling:
         assert len(ids) == 3  # the batch size
         assert set(ids) <= {f"synth_100_{i:04d}" for i in range(6)}
         assert rest.startswith("stem.conv1.conv: conv2d: non-finite")
+
+    def test_validation_failure_names_epoch_and_image(self, tiny_dirs, tmp_path):
+        # 32x32 passes the pad rule but is too small for the 6x6 context pool
+        D.save_dataset(D.generate_synthetic((2, 6), 32, 32, 1, seed=102), tmp_path / "val")
+        cfg = tiny_config(tiny_dirs, tmp_path / "run", val_dir=str(tmp_path / "val"))
+        with pytest.raises(DataError) as raised:
+            TR.train(cfg)
+        assert str(raised.value).startswith(
+            "epoch 0 validation: image synth_102_0000: a 32x32 image (padded to 32x32) "
+            "does not fit: context.s6.pool")
 
     def test_non_finite_loss_aborts_keeping_checkpoint(self, tiny_dirs, tmp_path, monkeypatch):
         from icc.errors import NumericError
