@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -348,9 +348,7 @@ def _contextual_module(b: _Builder, src: str, scales: tuple[int, ...]) -> str:
     gate mass. Output is concat(base, fused) with twice the channels.
     """
     c = b.channels[src]
-    scale_feats = []
-    gates = []
-    for s in scales:
+    for i, s in enumerate(scales):
         pool = b.emit(f"context.s{s}.pool", "adaptive_avgpool", [src], dict(out_h=s, out_w=s))
         conv = b.conv(f"context.s{s}.mix", pool, c, 1, bias=False)
         up = b.emit(
@@ -359,14 +357,12 @@ def _contextual_module(b: _Builder, src: str, scales: tuple[int, ...]) -> str:
         contrast = b.emit(f"context.s{s}.contrast", "sub", [up, src])
         wconv = b.conv(f"context.s{s}.gate", contrast, c, 1, bias=True)
         gate = b.emit(f"context.s{s}.sigmoid", "sigmoid", [wconv])
-        scale_feats.append(b.emit(f"context.s{s}.gated", "mul", [gate, up]))
-        gates.append(gate)
-
-    num = scale_feats[0]
-    den = gates[0]
-    for i in range(1, len(scales)):
-        num = b.emit(f"context.num_{i}", "add", [num, scale_feats[i]])
-        den = b.emit(f"context.den_{i}", "add", [den, gates[i]])
+        gated = b.emit(f"context.s{s}.gated", "mul", [gate, up])
+        if i == 0:
+            num, den = gated, gate
+        else:  # summed as each scale ends, so its gated map and gate die here
+            num = b.emit(f"context.num_{i}", "add", [num, gated])
+            den = b.emit(f"context.den_{i}", "add", [den, gate])
     den = b.emit("context.den_eps", "scalar_add", [den], dict(value=CONTEXT_WEIGHT_EPS))
     fused = b.emit("context.fused", "div", [num, den])
     return b.emit("context.out", "concat", [src, fused], channels=2 * c)
@@ -661,10 +657,16 @@ def _pool_run(op: str):
 
 
 def _interpolate_run(l, ins, p, mode, out):
+    return _resize(l, ins[0], ins[-1].shape[2:], out)
+
+
+def _resize(l: Layer, x, size: tuple[int, int], out=None) -> T.Tensor:
+    """The interpolate layer ``l`` on ``x``: by its factor, else to ``size``,
+    the extent of its match."""
     a = l.attrs
     if "factor" in a:
-        return T.upsample(ins[0], a["factor"], method=a["method"], out=out)
-    return T.interpolate(ins[0], ins[1].shape[2], ins[1].shape[3], method=a["method"], out=out)
+        return T.upsample(x, a["factor"], method=a["method"], out=out)
+    return T.interpolate(x, *size, method=a["method"], out=out)
 
 
 def _op(name: str):
@@ -739,7 +741,8 @@ def infer_shapes(graph: GraphDescription, shape: tuple[int, int, int]) -> dict[s
 class _BufferPlan:
     """Where each layer of a forward writes its output.
 
-    Made from the graph and ``infer_shapes`` before the layer loop:
+    Made from the layers a forward runs (``_unbuilt_concats``) and
+    ``infer_shapes`` before the layer loop:
     - placement: a layer whose kind writes into a given buffer, and which a
       concat reads once, writes straight into its channel slice of that
       concat's output (the first such concat's). A placed concat's slice
@@ -815,6 +818,73 @@ class _BufferPlan:
         return self.buffers[name]
 
 
+_POINTWISE = dict(kh=1, kw=1, stride_h=1, stride_w=1, pad_h=0, pad_w=0)
+
+
+def _unbuilt_concats(graph: GraphDescription, shapes: dict[str, tuple], keep: set[str]
+                     ) -> tuple[list[Layer], dict[str, list[tuple]]]:
+    """The layers a forward runs, and the parts of each pointwise conv whose
+    concat it does not build. Two rules, with and without grad:
+    1. a concat that is no tap and whose only reader is a 1x1 stride-1
+       unpadded conv is not built: the conv runs as the sum of one product
+       per concat input with that input's channel slice of the weight
+       (``_mix_run``).
+    2. an input of such a concat that is an interpolate layer enlarging its
+       map, no tap, and read by the concat alone, once, is not run: its own
+       input is mixed by the weight slice at its own size and resized after.
+       A resize acts on each channel and a mix on each pixel, so they commute.
+    The conv's parts are (source, first channel, end channel, the put-off
+    interpolate layer and its output's (height, width), or None twice), in
+    concat order; it reads their sources: the concat's inputs, a put-off
+    resize's own input in its place.
+    """
+    readers: dict[str, list[Layer]] = {}
+    for l in graph.layers:
+        for src in l.reads():
+            readers.setdefault(src, []).append(l)
+    by_name = graph.layer_map()
+    mixes: dict[str, list[tuple]] = {}
+    skipped: set[str] = set()
+    for l in graph.layers:
+        if l.kind != "concat" or l.name in keep or len(readers.get(l.name, ())) != 1:
+            continue
+        conv = readers[l.name][0]
+        if conv.kind != "conv" or any(conv.attrs[k] != v for k, v in _POINTWISE.items()):
+            continue
+        parts, c = [], 0
+        for src in l.inputs:
+            s, (cs, h, w) = by_name[src], shapes[src]
+            part = (src, c, c + cs, None, None)
+            if s.kind == "interpolate" and src not in keep and len(readers[src]) == 1:
+                _, hi, wi = shapes[s.inputs[0]]
+                if h >= hi and w >= wi and h * w > hi * wi:
+                    part = (s.inputs[0], c, c + cs, s, (h, w))
+                    skipped.add(src)
+            parts.append(part)
+            c += cs
+        skipped.add(l.name)
+        mixes[conv.name] = parts
+    layers = [replace(l, inputs=tuple(part[0] for part in mixes[l.name])) if l.name in mixes
+              else l for l in graph.layers if l.name not in skipped]
+    return layers, mixes
+
+
+def _mix_run(l: Layer, ins: list[T.Tensor], p: dict, parts: list[tuple]) -> T.Tensor:
+    """The pointwise conv ``l`` over a concat that is not built: the sum, in
+    concat order, of each part's product with its channel slice of the
+    weight, resized after the product where the part's resize was put off.
+    The bias goes into the first product, and each later one is added into it."""
+    w = p[f"{l.name}.w"]
+    bias = p[f"{l.name}.b"] if l.attrs.get("bias") else None
+    total = None
+    for x, (_, start, stop, resize, size) in zip(ins, parts):
+        part = T.conv2d(x, T.channel_slice(w, start, stop), bias=bias if total is None else None)
+        if resize is not None:
+            part = _resize(resize, part, size)
+        total = part if total is None else T.add(total, part, out=total.data)
+    return total
+
+
 @dataclass
 class ForwardResult:
     output: T.Tensor
@@ -850,7 +920,11 @@ def forward(
     ``mode`` selects batch-norm behaviour (train updates running statistics
     in place). With ``requires_grad`` the parameters require grad, so every
     op that reads one records its backward and the result supports
-    ``backward``; without it no op records anything. Either way a
+    ``backward``; without it no op records anything. Either way a concat
+    whose only reader is a pointwise conv is not built, nor an upsample
+    that only it reads: the conv sums a product per concat input, an
+    upsample's after it (``_unbuilt_concats``), which rounds differently
+    from one product over the concat. Of the layers that run, a
     ``_BufferPlan`` made before the layer loop writes concat inputs into
     their channel slices and lets elementwise and batch-norm layers write
     over a dead input, with the same values. When the forward records, no
@@ -876,15 +950,20 @@ def forward(
     p = {**params, **param_tensors}
 
     keep = set(graph.taps.values())
-    last_reader = {src: i for i, l in enumerate(graph.layers) for src in l.reads()}
-    plan = _BufferPlan(graph, infer_shapes(graph, x.shape[1:]), x.shape[0], x.dtype,
+    shapes = infer_shapes(graph, x.shape[1:])
+    layers, mixes = _unbuilt_concats(graph, shapes, keep)
+    last_reader = {src: i for i, l in enumerate(layers) for src in l.reads()}
+    plan = _BufferPlan(GraphDescription(layers, graph.taps), shapes, x.shape[0], x.dtype,
                        last_reader, keep, requires_grad)
     values: dict[str, T.Tensor] = {}
     taps: dict[str, T.Tensor] = {}
-    for i, l in enumerate(graph.layers):
+    for i, l in enumerate(layers):
         ins = [values[s] for s in l.reads()] if l.inputs else [x]
         try:
-            out = KINDS[l.kind].run(l, ins, p, mode, plan.out(l, values))
+            if l.name in mixes:
+                out = _mix_run(l, ins, p, mixes[l.name])
+            else:
+                out = KINDS[l.kind].run(l, ins, p, mode, plan.out(l, values))
         except (NumericError, ValueError) as e:
             raise type(e)(f"{l.name}: {e}") from e
         values[l.name] = out
@@ -914,20 +993,12 @@ def pad_to_multiple(image: np.ndarray, multiple: int = PAD_MULTIPLE) -> np.ndarr
     return np.pad(image, pad, mode=mode)
 
 
-def predict_density(
-    graph: GraphDescription, params: dict[str, np.ndarray], image: np.ndarray
-) -> np.ndarray:
-    """Run one [C, H, W] image through the net; returns the stride-8 map.
-
-    The image is reflect-padded to a multiple of 32 and the output cropped
-    back to ceil(H/8) x ceil(W/8). An image the graph cannot take, or a graph
-    whose output is not a one-channel stride-8 map, raises DataError naming
-    the size or shape and the layer.
-    """
-    if image.ndim != 3:
-        raise ShapeError(f"predict_density: image must be [C, H, W], got {image.shape}")
-    h, w = image.shape[1:]
-    c, hp, wp = padded_shape(image.shape)
+def check_image(graph: GraphDescription, shape: tuple[int, int, int]) -> None:
+    """DataError, naming the size or shape and the layer, unless the graph
+    takes a [C, H, W] image of ``shape`` once padded and gives a one-channel
+    stride-8 map for it."""
+    _, h, w = shape
+    c, hp, wp = padded_shape(shape)
     try:
         shapes = infer_shapes(graph, (c, hp, wp))
     except ShapeError as e:
@@ -935,6 +1006,22 @@ def predict_density(
     tap, map_shape = graph.taps["output"], (1, hp // OUTPUT_STRIDE, wp // OUTPUT_STRIDE)
     if shapes[tap] != map_shape:
         raise DataError(f"output tap {tap} gives {shapes[tap]}, not a {map_shape} density map")
+
+
+def predict_density(
+    graph: GraphDescription, params: dict[str, np.ndarray], image: np.ndarray
+) -> np.ndarray:
+    """Run one [C, H, W] image through the net; returns the stride-8 map.
+
+    The image is reflect-padded to a multiple of 32 and the output cropped
+    back to ceil(H/8) x ceil(W/8). An image the graph cannot take, or a graph
+    whose output is not a one-channel stride-8 map, raises ``check_image``'s
+    DataError.
+    """
+    if image.ndim != 3:
+        raise ShapeError(f"predict_density: image must be [C, H, W], got {image.shape}")
+    h, w = image.shape[1:]
+    check_image(graph, image.shape)
     padded = pad_to_multiple(image)
     result = forward(graph, params, padded[None], mode="eval", requires_grad=False)
     out = result.output.data[0, 0]

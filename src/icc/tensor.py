@@ -5,7 +5,7 @@ Everything is numpy underneath. A Tensor wraps one float32 or float64 array
 of the forward pass to run the reverse sweep. The operator set is exactly
 what the counting network needs: conv2d (plus the two-stage separable form),
 max/avg pooling, adaptive average pooling, batch norm, relu/sigmoid,
-bilinear/nearest resizing, channel concat/sum and elementwise arithmetic,
+bilinear/nearest resizing, channel concat/slice/sum and elementwise arithmetic,
 each a function (a Tensor has no arithmetic operators). An op takes one
 dtype, as PyTorch's do: tensor operands that mix float32 and float64 are a
 ValueError naming the op (``_one_dtype``), and the output has their dtype. A
@@ -929,6 +929,21 @@ def concat_channels(inputs, out=None) -> Tensor:
 
     return _make(out_data, tuple(inputs), backward, "concat_channels",
                  checked=all(t._verified for t in inputs))
+
+
+def channel_slice(x, start: int, stop: int) -> Tensor:
+    """Channels [start, stop) of ``x`` (dim 1), as an array of their own."""
+    x = _coerce(x)
+    if x.ndim < 2 or not 0 <= start < stop <= x.shape[1]:
+        raise ShapeError(f"channel_slice: [{start}, {stop}) is no channel range of {x.shape}")
+    out_data = np.ascontiguousarray(x.data[:, start:stop])
+
+    def backward(g):
+        gx = np.zeros(x.shape, g.dtype)
+        gx[:, start:stop] = g
+        _accumulate(x, gx, owned=True)
+
+    return _make(out_data, (x,), backward, "channel_slice", checked=x._verified)
 
 
 def channel_sum(x) -> Tensor:

@@ -176,13 +176,21 @@ def train(config: TrainConfig) -> TrainResult:
         for ann in D.load_dataset(config.train_dir)
     ]
     val_images = D.load_dataset(config.val_dir)
+    graph = M.build_icc(config.model_config())
+    first_of_size = {}
+    for ann in val_images:
+        first_of_size.setdefault(M.padded_shape(ann.image.shape), ann)
+    for ann in first_of_size.values():  # a size the graph cannot take fails before any step
+        try:
+            M.check_image(graph, ann.image.shape)
+        except DataError as e:
+            raise DataError(f"image {ann.id}: {e}") from None
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "model.iccw"
     graph_path = out_dir / "model.graph"
     log_path = out_dir / "train.log"
 
-    graph = M.build_icc(config.model_config())
     graph_path.write_text(graph.to_text(), encoding="utf-8")
     params = M.init_parameters(graph, config.seed, dtype=f"float{config.precision}")
     opt = AdamW(params, lr=config.learning_rate, weight_decay=config.weight_decay)
@@ -360,12 +368,23 @@ def infer(
 ) -> float:
     """Predict one image; writes the density map file and returns the count.
 
+    An output path that cannot be written fails before the forward, and a
+    failed prediction leaves no output file where there was none.
+
     With ``upsample`` the stride-8 map is bilinearly resized to the image
     resolution and rescaled so its sum still matches the predicted count.
     """
     x = D.normalize(D.read_ppm(image_path))
     h, w = x.shape[1:]
-    dmap = M.predict_density(graph, params, x)
+    output = Path(output_path)
+    made = not output.exists()
+    open(output, "ab").close()  # an output that cannot be written fails before the forward
+    try:
+        dmap = M.predict_density(graph, params, x)
+    except BaseException:
+        if made:  # a failed prediction leaves no file behind
+            output.unlink(missing_ok=True)
+        raise
     count = float(dmap.sum())
     if upsample:
         t = T.interpolate(T.Tensor(dmap[None, None].astype(np.float64)), h, w, "bilinear")
@@ -376,5 +395,5 @@ def infer(
         out = full.astype(np.float32)
     else:
         out = dmap.astype(np.float32)
-    D.write_density(output_path, out)
+    D.write_density(output, out)
     return count

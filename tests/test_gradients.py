@@ -305,6 +305,10 @@ class TestChannelAndElementwiseGradients:
         a = t(rand(1, 2, 3, 3, seed=37))
         check_op_gradients(lambda: T.add(a, 1e-6), [a])
 
+    def test_channel_slice(self):
+        w = t(rand(4, 6, 1, 1, seed=40))
+        check_op_gradients(lambda: T.channel_slice(w, 1, 4), [w])
+
     def test_contextual_fusion_composite(self):
         # the gate arithmetic of the contextual module, end to end
         base = t(rand(1, 3, 6, 6, seed=38))

@@ -556,6 +556,35 @@ class TestCLI:
         assert "Traceback" not in proc.stderr
         assert str(path) in proc.stderr
 
+    def test_infer_checks_its_output_before_the_forward(self, tmp_path, monkeypatch, capsys):
+        image = tmp_path / "scene.ppm"
+        D.write_ppm(image, np.full((3, 64, 64), 0.5, np.float32))
+        args = ["infer", "--checkpoint", str(save_init_model(tmp_path)), "--image", str(image),
+                "--output"]
+        predicted = []
+        monkeypatch.setattr(M, "predict_density", lambda *a: predicted.append(a))
+        missing = tmp_path / "missing" / "x.iccd"
+        assert cli_main(args + [str(missing)]) == 3
+        assert predicted == [] and str(missing) in capsys.readouterr().err
+
+    def test_failed_infer_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        image = tmp_path / "scene.ppm"
+        D.write_ppm(image, np.full((3, 64, 64), 0.5, np.float32))
+        ckpt = save_init_model(tmp_path)
+
+        def fail(*args):
+            raise DataError("refused")
+
+        monkeypatch.setattr(M, "predict_density", fail)
+        output = tmp_path / "x.iccd"
+        assert cli_main(["infer", "--checkpoint", str(ckpt), "--image", str(image),
+                         "--output", str(output)]) == 3
+        assert not output.exists() and "refused" in capsys.readouterr().err
+        output.write_bytes(b"kept")  # a file that was there before stays as it was
+        assert cli_main(["infer", "--checkpoint", str(ckpt), "--image", str(image),
+                         "--output", str(output)]) == 3
+        assert output.read_bytes() == b"kept"
+
     def test_cli_train_eval_round_trip(self, tiny_dirs, tmp_path, capsys):
         out = tmp_path / "cli_run"
         rc = cli_main([
@@ -594,15 +623,20 @@ class TestDivergenceHandling:
         assert set(ids) <= {f"synth_100_{i:04d}" for i in range(6)}
         assert rest.startswith("stem.conv1.conv: conv2d: non-finite")
 
-    def test_validation_failure_names_epoch_and_image(self, tiny_dirs, tmp_path):
+    def test_validation_image_that_does_not_fit_fails_before_training(self, tiny_dirs,
+                                                                        tmp_path, monkeypatch):
         # 32x32 passes the pad rule but is too small for the 6x6 context pool
         D.save_dataset(D.generate_synthetic((2, 6), 32, 32, 1, seed=102), tmp_path / "val")
         cfg = tiny_config(tiny_dirs, tmp_path / "run", val_dir=str(tmp_path / "val"))
+        forwards = []
+        monkeypatch.setattr(M, "forward", lambda *a, **k: forwards.append(a))
         with pytest.raises(DataError) as raised:
             TR.train(cfg)
         assert str(raised.value).startswith(
-            "epoch 0 validation: image synth_102_0000: a 32x32 image (padded to 32x32) "
+            "image synth_102_0000: a 32x32 image (padded to 32x32) "
             "does not fit: context.s6.pool")
+        assert forwards == []
+        assert not (tmp_path / "run" / "model.iccw").exists()
 
     def test_non_finite_loss_aborts_keeping_checkpoint(self, tiny_dirs, tmp_path, monkeypatch):
         from icc.errors import NumericError
